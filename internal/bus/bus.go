@@ -197,17 +197,6 @@ func (b *Bus) Write32(addr uint32, v uint32) bool {
 	return true
 }
 
-// DMARead copies n bytes of physical memory into a fresh slice (device →
-// host direction helper). Returns nil if out of range.
-func (b *Bus) DMARead(addr, n uint32) []byte {
-	if !b.InRAM(addr, n) {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, b.ram[addr:addr+n])
-	return out
-}
-
 // DMAWrite copies data into physical memory at addr. Reports success.
 func (b *Bus) DMAWrite(addr uint32, data []byte) bool {
 	if !b.InRAM(addr, uint32(len(data))) {

@@ -60,6 +60,9 @@ const (
 const WireBytesPerSec = 125_000_000
 
 // FrameSink receives each transmitted frame with its completion cycle.
+// The frame is valid only for the duration of the call: the NIC reuses
+// its buffer for the next frame, so a sink that keeps the bytes must
+// copy them.
 type FrameSink func(frame []byte, cycle uint64)
 
 // NIC is the gigabit Ethernet controller.
@@ -90,6 +93,11 @@ type NIC struct {
 	OnTransmit   func(frameLen uint32) // hosted-VMM cost hook
 	frameTap     FrameSink             // record/replay observer
 	epoch        uint32
+
+	// frame is the NIC-owned transmit buffer, reused across frames. A
+	// frame is copied out of guest RAM, never aliased: checksum offload
+	// writes into it, which must not change the simulated machine.
+	frame []byte
 
 	// In-flight descriptor, latched when transmission starts (fields
 	// rather than closure captures so snapshots can re-arm completion).
@@ -204,13 +212,15 @@ func (n *NIC) pump() {
 		return
 	}
 	dAddr := n.txBase + n.txHead*DescSize
-	desc := n.mem.DMARead(dAddr, DescSize)
-	if desc == nil {
+	if !n.mem.InRAM(dAddr, DescSize) {
 		n.DescErrors++
 		n.txHead = (n.txHead + 1) % n.ringSize()
 		n.pump()
 		return
 	}
+	// The descriptor's fields are latched here, so they are decoded in
+	// place rather than copied out first.
+	desc := n.mem.RAM()[dAddr : dAddr+DescSize]
 	bufAddr := binary.LittleEndian.Uint32(desc[0:4])
 	length := binary.LittleEndian.Uint32(desc[4:8])
 	flags := binary.LittleEndian.Uint32(desc[8:12])
@@ -243,14 +253,15 @@ func (n *NIC) armCompletion(delay uint64) {
 	})
 }
 
-// complete finishes one frame: DMA it out of guest memory, apply offloads,
-// deliver to the wire, write back descriptor status, raise the (possibly
-// coalesced) completion interrupt.
+// complete finishes one frame: DMA it out of guest memory into the
+// NIC's buffer, apply offloads, deliver to the wire, write back
+// descriptor status, raise the (possibly coalesced) completion interrupt.
 func (n *NIC) complete(descAddr, bufAddr, length, flags uint32) {
-	frame := n.mem.DMARead(bufAddr, length)
-	if frame == nil {
+	if !n.mem.InRAM(bufAddr, length) {
 		n.DescErrors++
 	} else {
+		n.frame = append(n.frame[:0], n.mem.RAM()[bufAddr:bufAddr+length]...)
+		frame := n.frame
 		if flags&DescFlagCsum != 0 && !n.csumDisabled {
 			netsim.OffloadChecksums(frame)
 		}

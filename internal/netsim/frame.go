@@ -7,6 +7,7 @@ package netsim
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // Header sizes.
@@ -78,16 +79,57 @@ func Checksum(data []byte) uint16 {
 	return FinishChecksum(SumBytes(0, data))
 }
 
-// SumBytes accumulates data into a running ones'-complement sum.
+// SumBytes accumulates data, as big-endian 16-bit words (an odd final
+// byte padded with zero), into a running ones'-complement sum. The
+// result is congruent to sum plus the words modulo 0xFFFF and is zero
+// only if sum is zero and data is all zeros, which is all FinishChecksum
+// depends on; callers may add a few 16-bit terms to it before finishing.
+//
+// The data is summed eight bytes at a time as native little-endian
+// words with deferred carries and folded once: the ones'-complement sum
+// is byte-order independent (RFC 1071 §2(B)), so the folded sum of the
+// little-endian words is the byte-swapped sum of the big-endian ones.
 func SumBytes(sum uint32, data []byte) uint32 {
-	n := len(data)
-	for i := 0; i+1 < n; i += 2 {
-		sum += uint32(data[i])<<8 | uint32(data[i+1])
+	return foldSum(sumWords(0, data), sum)
+}
+
+// sumWords adds data, as little-endian 64-bit words with the end-around
+// carry, to acc. A final partial word is zero-padded, so a run of calls
+// over consecutive pieces sums their concatenation provided every piece
+// but the last has even length.
+func sumWords(acc uint64, data []byte) uint64 {
+	var c uint64
+	for len(data) >= 32 {
+		acc, c = bits.Add64(acc, binary.LittleEndian.Uint64(data), c)
+		acc, c = bits.Add64(acc, binary.LittleEndian.Uint64(data[8:]), c)
+		acc, c = bits.Add64(acc, binary.LittleEndian.Uint64(data[16:]), c)
+		acc, c = bits.Add64(acc, binary.LittleEndian.Uint64(data[24:]), c)
+		data = data[32:]
 	}
-	if n%2 == 1 {
-		sum += uint32(data[n-1]) << 8
+	for len(data) >= 8 {
+		acc, c = bits.Add64(acc, binary.LittleEndian.Uint64(data), c)
+		data = data[8:]
 	}
-	return sum
+	if len(data) > 0 {
+		acc, c = bits.Add64(acc, loadTail(data), c)
+	}
+	acc, c = bits.Add64(acc, 0, c)
+	return acc + c
+}
+
+// foldSum folds a little-endian word sum from sumWords to 16 bits,
+// swaps it into network byte order and adds it to the big-endian running
+// sum. Every fold adds the high half to the low half, which keeps the
+// value modulo 0xFFFF and never turns a nonzero sum into zero; the
+// final fold keeps the result within 32 bits even for a running sum
+// near 2³².
+func foldSum(acc uint64, sum uint32) uint32 {
+	acc = acc>>32 + acc&0xFFFFFFFF
+	acc = acc>>32 + acc&0xFFFFFFFF
+	acc = acc>>16 + acc&0xFFFF
+	acc = acc>>16 + acc&0xFFFF
+	s := uint64(sum) + uint64(bits.ReverseBytes16(uint16(acc)))
+	return uint32(s>>32 + s&0xFFFFFFFF)
 }
 
 // FinishChecksum folds and complements a running sum.
@@ -104,21 +146,21 @@ func UDPChecksum(frame []byte) uint16 {
 	ip := frame[EthHeaderLen:]
 	udp := ip[IPv4HeaderLen:]
 	udpLen := binary.BigEndian.Uint16(udp[4:6])
-
-	var sum uint32
-	sum = SumBytes(sum, ip[12:20]) // src+dst IP
-	sum += ProtoUDP
-	sum += uint32(udpLen)
-	// UDP header with checksum field zeroed, plus payload.
-	sum += uint32(udp[0])<<8 | uint32(udp[1])
-	sum += uint32(udp[2])<<8 | uint32(udp[3])
-	sum += uint32(udp[4])<<8 | uint32(udp[5])
+	// UDP header with checksum field skipped (summed as zero), plus payload.
+	sum := pseudoSum(ip, udpLen)
+	sum = SumBytes(sum, udp[0:6])
 	sum = SumBytes(sum, udp[8:udpLen])
 	c := FinishChecksum(sum)
 	if c == 0 {
 		c = 0xFFFF // UDP: transmitted zero means "no checksum"
 	}
 	return c
+}
+
+// pseudoSum is the running sum of the UDP/IPv4 pseudo-header: source
+// and destination addresses, protocol and UDP length.
+func pseudoSum(ip []byte, udpLen uint16) uint32 {
+	return SumBytes(0, ip[12:20]) + ProtoUDP + uint32(udpLen)
 }
 
 // OffloadChecksums performs what the NIC's checksum-offload engine does:
@@ -149,55 +191,69 @@ type Packet struct {
 
 // ParseFrame parses and validates an Ethernet+IPv4+UDP frame.
 func ParseFrame(frame []byte) (*Packet, error) {
-	if len(frame) < HeadersLen {
-		return nil, fmt.Errorf("netsim: frame too short (%d bytes)", len(frame))
+	ip, udp, err := parseHeaders(frame)
+	if err != nil {
+		return nil, err
 	}
-	if et := binary.BigEndian.Uint16(frame[12:14]); et != EtherTypeIPv4 {
-		return nil, fmt.Errorf("netsim: ethertype 0x%04x not IPv4", et)
-	}
-	ip := frame[EthHeaderLen:]
-	if ip[0] != 0x45 {
-		return nil, fmt.Errorf("netsim: unsupported IP version/IHL 0x%02x", ip[0])
-	}
-	if Checksum(ip[:IPv4HeaderLen]) != 0 {
-		return nil, fmt.Errorf("netsim: bad IPv4 header checksum")
-	}
-	if ip[9] != ProtoUDP {
-		return nil, fmt.Errorf("netsim: protocol %d not UDP", ip[9])
-	}
-	totalLen := int(binary.BigEndian.Uint16(ip[2:4]))
-	if totalLen+EthHeaderLen > len(frame) {
-		return nil, fmt.Errorf("netsim: IP total length %d exceeds frame", totalLen)
-	}
-	udp := ip[IPv4HeaderLen:totalLen]
-	udpLen := int(binary.BigEndian.Uint16(udp[4:6]))
-	if udpLen < UDPHeaderLen || udpLen > len(udp) {
-		return nil, fmt.Errorf("netsim: bad UDP length %d", udpLen)
-	}
-	p := &Packet{Payload: udp[UDPHeaderLen:udpLen]}
+	p := &Packet{Payload: udp[UDPHeaderLen:]}
 	copy(p.Flow.DstMAC[:], frame[0:6])
 	copy(p.Flow.SrcMAC[:], frame[6:12])
 	copy(p.Flow.SrcIP[:], ip[12:16])
 	copy(p.Flow.DstIP[:], ip[16:20])
 	p.Flow.SrcPort = binary.BigEndian.Uint16(udp[0:2])
 	p.Flow.DstPort = binary.BigEndian.Uint16(udp[2:4])
-	if binary.BigEndian.Uint16(udp[6:8]) == 0 {
-		p.UDPChecksumOK = true // checksum not used
-	} else {
-		full := frame[:EthHeaderLen+totalLen]
-		p.UDPChecksumOK = verifyUDP(full)
-	}
+	// A zero checksum field means the checksum is not used.
+	p.UDPChecksumOK = !udpChecksumUsed(udp) || udpSumOK(ip, len(udp), sumWords(0, udp))
 	return p, nil
 }
 
-func verifyUDP(frame []byte) bool {
-	ip := frame[EthHeaderLen:]
-	udp := ip[IPv4HeaderLen:]
-	udpLen := binary.BigEndian.Uint16(udp[4:6])
-	var sum uint32
-	sum = SumBytes(sum, ip[12:20])
-	sum += ProtoUDP
-	sum += uint32(udpLen)
-	sum = SumBytes(sum, udp[:udpLen])
-	return FinishChecksum(sum) == 0
+// parseHeaders validates the Ethernet, IPv4 and UDP headers of a frame
+// and returns its IPv4 header and its UDP datagram (header and payload,
+// cut at the UDP length). It does not check the UDP checksum. ParseFrame
+// and Receiver.Deliver share it, so both apply the same header checks in
+// the same order.
+func parseHeaders(frame []byte) (ip, udp []byte, err error) {
+	if len(frame) < HeadersLen {
+		return nil, nil, fmt.Errorf("netsim: frame too short (%d bytes)", len(frame))
+	}
+	if et := binary.BigEndian.Uint16(frame[12:14]); et != EtherTypeIPv4 {
+		return nil, nil, fmt.Errorf("netsim: ethertype 0x%04x not IPv4", et)
+	}
+	ip = frame[EthHeaderLen:]
+	if ip[0] != 0x45 {
+		return nil, nil, fmt.Errorf("netsim: unsupported IP version/IHL 0x%02x", ip[0])
+	}
+	if Checksum(ip[:IPv4HeaderLen]) != 0 {
+		return nil, nil, fmt.Errorf("netsim: bad IPv4 header checksum")
+	}
+	if ip[9] != ProtoUDP {
+		return nil, nil, fmt.Errorf("netsim: protocol %d not UDP", ip[9])
+	}
+	totalLen := int(binary.BigEndian.Uint16(ip[2:4]))
+	if totalLen+EthHeaderLen > len(frame) {
+		return nil, nil, fmt.Errorf("netsim: IP total length %d exceeds frame", totalLen)
+	}
+	if totalLen < IPv4HeaderLen {
+		return nil, nil, fmt.Errorf("netsim: IP total length %d shorter than its header", totalLen)
+	}
+	udp = ip[IPv4HeaderLen:totalLen]
+	// A total length that cuts into the UDP header still leaves the UDP
+	// length field inside the frame (len(frame) >= HeadersLen), so it is
+	// read past len(udp) and then rejected.
+	udpLen := int(binary.BigEndian.Uint16(udp[4:6]))
+	if udpLen < UDPHeaderLen || udpLen > len(udp) {
+		return nil, nil, fmt.Errorf("netsim: bad UDP length %d", udpLen)
+	}
+	return ip, udp[:udpLen], nil
+}
+
+// udpChecksumUsed reports whether a UDP datagram carries a checksum: a
+// zero checksum field means the sender did not compute one.
+func udpChecksumUsed(udp []byte) bool { return udp[6]|udp[7] != 0 }
+
+// udpSumOK reports whether a UDP datagram of udpLen bytes, which
+// sumWords added up to acc, checksums correctly under the pseudo-header
+// of ip.
+func udpSumOK(ip []byte, udpLen int, acc uint64) bool {
+	return FinishChecksum(foldSum(acc, pseudoSum(ip, uint16(udpLen)))) == 0
 }

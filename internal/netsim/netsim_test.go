@@ -98,6 +98,16 @@ func TestParseFrameErrors(t *testing.T) {
 	if _, err := ParseFrame(frame2); err == nil {
 		t.Error("broken IP checksum accepted")
 	}
+	// An IP total length inside the IP header, with a valid header
+	// checksum, is refused rather than sliced.
+	frame3 := buildTestFrame(t, make([]byte, 32), false)
+	ip := frame3[EthHeaderLen:]
+	binary.BigEndian.PutUint16(ip[2:4], 10)
+	ip[10], ip[11] = 0, 0
+	binary.BigEndian.PutUint16(ip[10:12], Checksum(ip[:IPv4HeaderLen]))
+	if _, err := ParseFrame(frame3); err == nil {
+		t.Error("IP total length shorter than the IP header accepted")
+	}
 }
 
 // Property: the checksum of any buffer with its own checksum appended

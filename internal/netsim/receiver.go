@@ -3,6 +3,7 @@ package netsim
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"lvmm/internal/isa"
 )
@@ -44,6 +45,9 @@ func NewReceiver() *Receiver { return &Receiver{} }
 const StampLen = 8
 
 // Deliver consumes one transmitted frame at the given virtual cycle.
+// Verdicts take precedence in this order: a parse error, then a bad UDP
+// checksum (which discards the pattern result), then a payload too short
+// for the stamp, then a sequence gap, then a pattern mismatch.
 func (r *Receiver) Deliver(frame []byte, cycle uint64) {
 	if r.Frames == 0 {
 		r.FirstCycle = cycle
@@ -52,35 +56,81 @@ func (r *Receiver) Deliver(frame []byte, cycle uint64) {
 	r.Frames++
 	r.WireBytes += uint64(len(frame) + WireOverhead)
 
-	p, err := ParseFrame(frame)
+	ip, udp, err := parseHeaders(frame)
 	if err != nil {
 		r.ParseErrors++
 		r.lastError = err.Error()
 		return
 	}
-	if !p.UDPChecksumOK {
+	// One pass over the payload yields both the checksum and the
+	// pattern verdict; the checksum is still judged first.
+	payload := udp[UDPHeaderLen:]
+	csumOK, bad := true, -1
+	var seq, volOff uint32
+	if len(payload) < StampLen {
+		csumOK = !udpChecksumUsed(udp) || udpSumOK(ip, len(udp), sumWords(0, udp))
+	} else {
+		seq = binary.LittleEndian.Uint32(payload[0:4])
+		volOff = binary.LittleEndian.Uint32(payload[4:8])
+		data, off := payload[StampLen:], uint64(volOff)+StampLen
+		if udpChecksumUsed(udp) {
+			var acc uint64
+			bad, acc = checkPatternSum(data, off, r.PatternSeed, sumWords(0, udp[:UDPHeaderLen+StampLen]))
+			csumOK = udpSumOK(ip, len(udp), acc)
+		} else {
+			bad = CheckPatternSeeded(data, off, r.PatternSeed)
+		}
+	}
+	if !csumOK {
 		r.ChecksumBad++
 		r.lastError = "bad UDP checksum"
 		return
 	}
-	r.PayloadBytes += uint64(len(p.Payload))
-	if len(p.Payload) < StampLen {
+	r.PayloadBytes += uint64(len(payload))
+	if len(payload) < StampLen {
 		r.ParseErrors++
 		r.lastError = "payload shorter than stamp"
 		return
 	}
-	seq := binary.LittleEndian.Uint32(p.Payload[0:4])
-	volOff := binary.LittleEndian.Uint32(p.Payload[4:8])
 	if seq != r.nextSeq {
 		r.SeqErrors++
 		r.lastError = fmt.Sprintf("sequence %d, expected %d", seq, r.nextSeq)
 		r.nextSeq = seq
 	}
 	r.nextSeq++
-	if i := CheckPatternSeeded(p.Payload[StampLen:], uint64(volOff)+StampLen, r.PatternSeed); i >= 0 {
+	if bad >= 0 {
 		r.PatternErrors++
-		r.lastError = fmt.Sprintf("pattern mismatch at payload offset %d (vol 0x%x)", i+StampLen, volOff)
+		r.lastError = fmt.Sprintf("pattern mismatch at payload offset %d (vol 0x%x)", bad+StampLen, volOff)
 	}
+}
+
+// checkPatternSum is CheckPatternSeeded fused with sumWords: one pass
+// over buf that adds every byte to the word sum acc and finds the first
+// byte that differs from the seeded pattern at off (-1 if none). It
+// never stops early, because the checksum needs every byte.
+func checkPatternSum(buf []byte, off, seed, acc uint64) (int, uint64) {
+	y := patternGen(off, seed)
+	bad := -1
+	var c uint64
+	i := 0
+	for ; len(buf) >= 8; i += 8 {
+		w := binary.LittleEndian.Uint64(buf)
+		acc, c = bits.Add64(acc, w, c)
+		if d := w ^ patternWord(y); d != 0 && bad < 0 {
+			bad = i + bits.TrailingZeros64(d)/8
+		}
+		y += patStep8
+		buf = buf[8:]
+	}
+	if len(buf) > 0 {
+		w := loadTail(buf)
+		acc, c = bits.Add64(acc, w, c)
+		if d := w ^ patternWord(y)&tailMask(len(buf)); d != 0 && bad < 0 {
+			bad = i + bits.TrailingZeros64(d)/8
+		}
+	}
+	acc, c = bits.Add64(acc, 0, c)
+	return bad, acc + c
 }
 
 // ReceiverState is the serializable receiver state (record/replay
