@@ -1,44 +1,25 @@
 // Benchmarks regenerating the paper's evaluation (one benchmark per
-// figure/series) and the ablation sweeps. Run with:
+// figure/series), the ablation sweeps, and the engineering benchmarks.
+// Run with:
 //
 //	go test -bench=. -benchmem
 //
 // Reported custom metrics: Mbps_achieved (the figure's x-axis value at
-// saturation), cpu_load_pct (the y-axis), and the headline ratios.
-package lvmm
+// saturation), cpu_load_pct (the y-axis), and the headline ratios. The
+// engineering benchmarks' bodies live in internal/benchdef, which
+// cmd/benchjson times too, so each is defined once.
+package lvmm_test
 
 import (
-	"bytes"
-	"io"
 	"testing"
 
+	"lvmm"
 	"lvmm/internal/asm"
+	"lvmm/internal/benchdef"
 	"lvmm/internal/experiment"
 	"lvmm/internal/guest"
-	"lvmm/internal/machine"
 	"lvmm/internal/perfmodel"
-	"lvmm/internal/replay"
-	"lvmm/internal/vmm"
 )
-
-// benchTicks keeps each point short enough for -bench runs while long
-// enough to pass the disk-pipeline startup transient.
-const benchTicks = 40
-
-func benchPoint(b *testing.B, pf experiment.Platform, rate float64, opts experiment.Options) {
-	b.Helper()
-	opts.DurationTicks = benchTicks
-	var last experiment.Point
-	for i := 0; i < b.N; i++ {
-		last = experiment.RunPoint(pf, opts, rate)
-		if last.Error != "" {
-			b.Fatalf("%v @ %.0f: %s", pf, rate, last.Error)
-		}
-	}
-	b.ReportMetric(last.AchievedMbps, "Mbps_achieved")
-	b.ReportMetric(last.CPULoad*100, "cpu_load_pct")
-	b.ReportMetric(last.MonitorShare*100, "monitor_pct")
-}
 
 // BenchmarkFig31 regenerates the three series of Figure 3.1, one
 // sub-benchmark per platform per representative offered rate.
@@ -60,7 +41,7 @@ func BenchmarkFig31(b *testing.B) {
 	}
 	for _, p := range points {
 		b.Run(p.name, func(b *testing.B) {
-			benchPoint(b, p.pf, p.rate, experiment.Options{})
+			benchdef.Point(b, p.pf, p.rate, experiment.Options{})
 		})
 	}
 }
@@ -72,7 +53,7 @@ func BenchmarkHeadlineRatios(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		fig := experiment.RunFig31(experiment.Options{
 			Rates:         []float64{700},
-			DurationTicks: benchTicks,
+			DurationTicks: benchdef.Ticks,
 		})
 		s = fig.Summarize()
 	}
@@ -88,7 +69,7 @@ func BenchmarkHeadlineRatios(b *testing.B) {
 func BenchmarkAblationCoalesce(b *testing.B) {
 	for _, f := range []uint32{1, 4, 16} {
 		b.Run(coalesceName(f), func(b *testing.B) {
-			benchPoint(b, experiment.LightweightVMM, 700,
+			benchdef.Point(b, experiment.LightweightVMM, 700,
 				experiment.Options{Coalesce: f})
 		})
 	}
@@ -115,7 +96,7 @@ func BenchmarkAblationSwitchCost(b *testing.B) {
 			c := perfmodel.Lightweight()
 			c.WorldSwitchIn = uint64(float64(c.WorldSwitchIn) * s.scale)
 			c.WorldSwitchOut = uint64(float64(c.WorldSwitchOut) * s.scale)
-			benchPoint(b, experiment.LightweightVMM, 700,
+			benchdef.Point(b, experiment.LightweightVMM, 700,
 				experiment.Options{LightweightCosts: &c})
 		})
 	}
@@ -125,7 +106,7 @@ func BenchmarkAblationSwitchCost(b *testing.B) {
 func BenchmarkAblationSegmentSize(b *testing.B) {
 	for _, sz := range []uint32{256, 512, 1024} {
 		b.Run(segName(sz), func(b *testing.B) {
-			benchPoint(b, experiment.LightweightVMM, 700,
+			benchdef.Point(b, experiment.LightweightVMM, 700,
 				experiment.Options{SegmentBytes: sz})
 		})
 	}
@@ -149,10 +130,10 @@ func BenchmarkAblationChecksumOffload(b *testing.B) {
 	run := func(b *testing.B, offload bool) {
 		var load float64
 		for i := 0; i < b.N; i++ {
-			w := WorkloadDefaults(200)
+			w := lvmm.WorkloadDefaults(200)
 			w.Seconds = 0.4
 			w.CsumOffload = offload
-			t, err := NewStreamingTarget(BareMetal, w)
+			t, err := lvmm.NewStreamingTarget(lvmm.BareMetal, w)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -171,247 +152,22 @@ func BenchmarkAblationChecksumOffload(b *testing.B) {
 	b.Run("software", func(b *testing.B) { run(b, false) })
 }
 
-// BenchmarkInterpreter measures raw simulated-CPU speed (host-side
-// engineering metric, not a paper figure): instructions per second of a
-// tight guest loop.
-func BenchmarkInterpreter(b *testing.B) {
-	img := asm.MustAssemble(`
-        .org 0x1000
-        _start:
-            li   r1, 0
-            li   r2, 1000000
-        loop:
-            addi r1, r1, 1
-            bne  r1, r2, loop
-            hlt
-    `)
-	for i := 0; i < b.N; i++ {
-		m := machine.New(machine.Config{ResetPC: img.Entry})
-		if err := m.LoadImage(img); err != nil {
-			b.Fatal(err)
-		}
-		m.CPU.Reset(img.Entry)
-		m.Run(20_000_000)
-		if m.CPU.Regs[1] != 1000000 {
-			b.Fatalf("loop did not finish: r1=%d", m.CPU.Regs[1])
-		}
-	}
-	b.ReportMetric(float64(2000001*b.N)/b.Elapsed().Seconds(), "guest_instr/s")
-}
+// The engineering benchmarks (host-side hot-path numbers, not paper
+// figures); see internal/benchdef for what each measures.
 
-// BenchmarkInterpreterSlowPath measures the same tight loop with the CPU's
-// force-slow knob set — timeline-neutral, disqualifying predecoded bursts
-// (cpu.BurstSafe) and forcing the per-instruction slow path. The ratio
-// to BenchmarkInterpreter is the predecoded engine's speedup.
-func BenchmarkInterpreterSlowPath(b *testing.B) {
-	img := asm.MustAssemble(`
-        .org 0x1000
-        _start:
-            li   r1, 0
-            li   r2, 1000000
-        loop:
-            addi r1, r1, 1
-            bne  r1, r2, loop
-            hlt
-    `)
-	for i := 0; i < b.N; i++ {
-		m := machine.New(machine.Config{ResetPC: img.Entry})
-		if err := m.LoadImage(img); err != nil {
-			b.Fatal(err)
-		}
-		m.CPU.Reset(img.Entry)
-		m.CPU.ForceSlowEngine(true)
-		m.Run(20_000_000)
-		if m.CPU.Regs[1] != 1000000 {
-			b.Fatalf("loop did not finish: r1=%d", m.CPU.Regs[1])
-		}
-	}
-	b.ReportMetric(float64(2000001*b.N)/b.Elapsed().Seconds(), "guest_instr/s")
-}
+func BenchmarkInterpreter(b *testing.B)         { benchdef.Interpreter(b) }
+func BenchmarkInterpreterSlowPath(b *testing.B) { benchdef.InterpreterSlowPath(b) }
+func BenchmarkTrapRoundTrip(b *testing.B)       { benchdef.TrapRoundTrip(b) }
+func BenchmarkTrapRoundTripBurst(b *testing.B)  { benchdef.TrapRoundTripBurst(b) }
+func BenchmarkBurstReentry(b *testing.B)        { benchdef.BurstReentry(b) }
+func BenchmarkReplaySeek(b *testing.B)          { benchdef.ReplaySeek(b) }
 
-// BenchmarkTrapRoundTrip measures the simulated cost of one guest→monitor
-// →guest crossing (CLI emulation), the lightweight VMM's atomic unit.
-func BenchmarkTrapRoundTrip(b *testing.B) {
-	img := asm.MustAssemble(`
-        .org 0x1000
-        _start:
-        loop:
-            cli
-            sti
-            b loop
-    `)
-	m := machine.New(machine.Config{ResetPC: img.Entry})
-	if err := m.LoadImage(img); err != nil {
-		b.Fatal(err)
-	}
-	v := vmm.Attach(m, vmm.Config{Mode: vmm.Lightweight})
-	if err := v.Launch(img.Entry); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	start := v.Stats.Traps
-	for i := 0; i < b.N; i++ {
-		m.StepOne()
-	}
-	b.ReportMetric(float64(v.Stats.Traps-start)/float64(b.N), "traps/op")
-}
-
-// BenchmarkTrapRoundTripBurst measures the same guest→monitor→guest
-// crossing driven through machine.Run, where the fused one-crossing
-// dispatch keeps the VMM-attached guest on the predecoded burst engine
-// across monitor-handled traps (BenchmarkTrapRoundTrip single-steps and
-// so times the per-instruction engine). Each op is a fixed slice of
-// virtual time; ns/trap is the host cost of one fused crossing.
-func BenchmarkTrapRoundTripBurst(b *testing.B) {
-	img := asm.MustAssemble(`
-        .org 0x1000
-        _start:
-        loop:
-            cli
-            sti
-            b loop
-    `)
-	m := machine.New(machine.Config{ResetPC: img.Entry})
-	if err := m.LoadImage(img); err != nil {
-		b.Fatal(err)
-	}
-	v := vmm.Attach(m, vmm.Config{Mode: vmm.Lightweight})
-	if err := v.Launch(img.Entry); err != nil {
-		b.Fatal(err)
-	}
-	// ~20 crossings per op at the lightweight world-switch prices.
-	const sliceCycles = 200_000
-	b.ResetTimer()
-	start := v.Stats.Traps
-	for i := 0; i < b.N; i++ {
-		m.Run(m.Clock() + sliceCycles)
-	}
-	traps := v.Stats.Traps - start
-	b.ReportMetric(float64(traps)/float64(b.N), "traps/op")
-	if traps > 0 {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(traps), "ns/trap")
-	}
-}
-
-// BenchmarkBurstReentry measures the burst re-entry preamble: each op is
-// one machine.Run call over a slice of virtual time short enough that the
-// guest work inside it is negligible (the hot loop runs as one batched
-// superblock), so ns/op tracks what it costs to get from the Run entry
-// point back onto the predecoded engine — event-horizon computation,
-// interrupt/halt checks, burst preamble, and the horizon exit.
-func BenchmarkBurstReentry(b *testing.B) {
-	img := asm.MustAssemble(`
-        .org 0x1000
-        _start:
-        loop:
-            addi r1, r1, 1
-            b    loop
-    `)
-	m := machine.New(machine.Config{ResetPC: img.Entry})
-	if err := m.LoadImage(img); err != nil {
-		b.Fatal(err)
-	}
-	m.CPU.Reset(img.Entry)
-	const sliceCycles = 64
-	b.ResetTimer()
-	startInstr := m.CPU.Stat.Instructions
-	for i := 0; i < b.N; i++ {
-		m.Run(m.Clock() + sliceCycles)
-	}
-	b.ReportMetric(float64(m.CPU.Stat.Instructions-startInstr)/float64(b.N), "instr/op")
-	s := m.CPU.SBStats()
-	b.ReportMetric(float64(s.Runs)/float64(b.N), "sb_runs/op")
-}
-
-// BenchmarkReplaySeek measures random time-travel seeks through the lazy
-// v3 reader: one streamed recording is opened through its seek index with
-// a deliberately small LRU budget, and each op seeks the replayer to a
-// pseudo-random instruction — restoring the nearest checkpoint (faulting
-// its segment back in when evicted) and running forward from there. The
-// segfaults/op metric tracks cache pressure; max_resident_bytes is the
-// cache's high-water mark — at most the budget plus one oversized
-// snapshot, since the LRU pins the entry it just decoded.
-func BenchmarkReplaySeek(b *testing.B) {
-	w := WorkloadDefaults(200)
-	w.Seconds = 0.1
-	target, err := NewStreamingTarget(Lightweight, w)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var buf bytes.Buffer
-	rec, err := target.RecordStream(&buf, RecordOptions{SnapshotInterval: 10_000_000})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := target.Run(); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := rec.FinishStream(); err != nil {
-		b.Fatal(err)
-	}
-	lt, err := replay.NewLazyTrace(bytes.NewReader(buf.Bytes()), int64(buf.Len()), 1<<20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rt, err := ReplaySource(lt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	_, endInstr, _, _ := lt.End()
-	rng := uint64(0x9e3779b97f4a7c15) // fixed seed: identical seek sequence every run
-	b.ResetTimer()
-	startFaults := lt.Faults()
-	for i := 0; i < b.N; i++ {
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		if err := rt.Replayer().SeekInstr(rng % endInstr); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(lt.Faults()-startFaults)/float64(b.N), "segfaults/op")
-	b.ReportMetric(float64(lt.MaxResidentBytes()), "max_resident_bytes")
-}
-
-// BenchmarkArmedObserver measures the page-granular arming guarantee on
-// the Fig 3.1 workload: the "armed" variant runs the standard lightweight
-// streaming guest with a hardware breakpoint planted on a page the kernel
-// never executes. Before page-granular arming, any armed breakpoint forced
-// the per-instruction interpreter and the armed variant ran several times
-// slower; now both variants must stay on the predecoded burst engine and
-// their ns/op must agree within the noise floor (≤10%). Gated by
-// cmd/benchjson -compare so a regression that knocks debugged guests off
-// the burst engine fails CI.
+// BenchmarkArmedObserver runs the armed variant next to its unarmed
+// baseline: both must stay on the predecoded burst engine, so their ns/op
+// agree within the noise floor (≤10%).
 func BenchmarkArmedObserver(b *testing.B) {
-	run := func(b *testing.B, armed bool) {
-		var burst uint64
-		for i := 0; i < b.N; i++ {
-			w := WorkloadDefaults(100)
-			w.Seconds = 0.1
-			target, err := NewStreamingTarget(Lightweight, w)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if armed {
-				// A page the streaming kernel never fetches from.
-				if err := target.Machine().CPU.SetHWBreak(0, 0xE0000, true); err != nil {
-					b.Fatal(err)
-				}
-			}
-			stats, err := target.Run()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !stats.Clean {
-				b.Fatal(stats.ValidateErr)
-			}
-			burst = target.Machine().CPU.BurstTicks()
-			target.Release()
-		}
-		b.ReportMetric(float64(burst), "burst_ticks")
-	}
-	b.Run("unarmed", func(b *testing.B) { run(b, false) })
-	b.Run("armed", func(b *testing.B) { run(b, true) })
+	b.Run("unarmed", benchdef.UnarmedObserver)
+	b.Run("armed", benchdef.ArmedObserver)
 }
 
 // BenchmarkAssembler measures kernel assembly speed.
@@ -423,36 +179,4 @@ func BenchmarkAssembler(b *testing.B) {
 	}
 }
 
-// BenchmarkRecordStream measures the streaming recorder's overhead on
-// the standard workload: one 100 ms lightweight-VMM run per op, trace
-// segments (event batches, keyframes, delta snapshots) flushing to a
-// discarding sink as the run proceeds. Compare against the Fig 3.1
-// lightweight point to read the recording tax on the hot path; the
-// trace_bytes metric tracks the on-disk cost of the v3 container.
-// Gated by cmd/benchjson -compare, so a serialization change that
-// re-inflates the recording tax fails CI instead of landing silently.
-func BenchmarkRecordStream(b *testing.B) {
-	var bytesOut int64
-	for i := 0; i < b.N; i++ {
-		w := WorkloadDefaults(100)
-		w.Seconds = 0.1
-		target, err := NewStreamingTarget(Lightweight, w)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rec, err := target.RecordStream(io.Discard, RecordOptions{SnapshotInterval: 20_000_000})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := target.Run(); err != nil {
-			b.Fatal(err)
-		}
-		stats, err := rec.FinishStream()
-		if err != nil {
-			b.Fatal(err)
-		}
-		bytesOut = stats.BytesWritten
-		target.Release()
-	}
-	b.ReportMetric(float64(bytesOut), "trace_bytes")
-}
+func BenchmarkRecordStream(b *testing.B) { benchdef.RecordStream(b) }

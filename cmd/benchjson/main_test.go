@@ -65,3 +65,14 @@ func TestCompareZeroBaselineSkips(t *testing.T) {
 		t.Fatalf("unexpected failures: %v", failures)
 	}
 }
+
+// TestRunFailingBodyFails: a shared body that calls b.Fatal must fail the
+// driver, naming the benchmark. testing.Benchmark reports such a body as
+// N == 0 and 0 ns/op, which the gate would otherwise pass as a speedup.
+func TestRunFailingBodyFails(t *testing.T) {
+	broken := func(b *testing.B) { b.Fatal("sanity check failed") }
+	results, err := run([]benchmark{{"Broken", broken}})
+	if err == nil || !strings.Contains(err.Error(), "Broken") {
+		t.Fatalf("run = %v, %v; want an error naming Broken", results, err)
+	}
+}

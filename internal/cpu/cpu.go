@@ -10,7 +10,7 @@
 // copies, exactly the structure of the paper's lightweight VMM.
 //
 // Execution has two bit-identical engines: the per-instruction slow path
-// (Step) and a predecoded fast path (StepFast/BurstRun) backed by a
+// (Step) and a predecoded fast path (BurstRun) backed by a
 // physical-page-indexed decode cache — see decode.go for the design and its
 // invalidation rules. Debug observers (breakpoints, watchpoints, spy
 // watches) are armed at page granularity, so the fast path stays on unless
@@ -362,8 +362,8 @@ func (c *CPU) Step() StepResult {
 }
 
 // trapStep charges an instruction's base cycles (plus any translation
-// extra folded in by the caller) and delivers a trap — the slow-path
-// mirror of fastTrap. A named method instead of a per-execute closure
+// extra folded in by the caller) and delivers a trap; execute and
+// executeFast share it. A named method instead of a per-execute closure
 // keeps the interpreter's hot entry free of closure setup.
 func (c *CPU) trapStep(cause, vaddr, epc uint32, cycles uint64) StepResult {
 	return StepResult{Cycles: cycles + c.raise(cause, vaddr, epc), Trapped: cause}
@@ -758,7 +758,9 @@ func (c *CPU) execMOVS(instPC uint32) StepResult {
 	return StepResult{Cycles: cycles + isa.MOVSCycles(copied)}
 }
 
-// execSTOS implements bulk fill: r1=dst, r2=fill byte, r3=len.
+// execSTOS implements bulk fill: r1=dst, r2=fill byte, r3=len. Like
+// MOVS, registers advance with progress, so a fault or a data watchpoint
+// mid-fill restarts cleanly.
 func (c *CPU) execSTOS(instPC uint32) StepResult {
 	var filled uint32
 	cycles := uint64(0)
@@ -790,9 +792,23 @@ func (c *CPU) execSTOS(instPC uint32) StepResult {
 		if c.spyAny {
 			c.notifySpy(dst, chunk)
 		}
+		watchVA, watchHit := uint32(0), false
+		if c.watchAny {
+			watchVA, watchHit = c.watchHit(dst, chunk)
+		}
 		c.Regs[1] += chunk
 		c.Regs[3] -= chunk
 		filled += chunk
+		if watchHit {
+			// Progress registers advanced: re-execution resumes the fill
+			// after the watched chunk.
+			cycles += isa.STOSCycles(filled)
+			c.Stat.BytesCopied += uint64(filled)
+			return StepResult{
+				Cycles:  cycles + c.raise(isa.CauseWatch, watchVA, instPC),
+				Trapped: isa.CauseWatch,
+			}
+		}
 	}
 	c.Stat.BytesCopied += uint64(filled)
 	c.PC = instPC + 4

@@ -8,7 +8,7 @@ import "lvmm/internal/isa"
 // redecoding the same words over and over: a tight guest loop pays a bus
 // read, an opcode extraction, and four field extractions on every trip.
 // The decode cache removes that: instruction words are decoded once into
-// physical-page-indexed arrays of predecoded micro-ops, and StepFast
+// physical-page-indexed arrays of predecoded micro-ops, and BurstRun
 // dispatches on the cached form.
 //
 // The cache is indexed by *physical* page, so remapping a virtual page to
@@ -44,8 +44,8 @@ const (
 	// HLT, MOVCR, MOVRC, TLBINV): below monitor level they always raise
 	// CausePriv, so BurstRun delivers that trap straight from the
 	// dispatcher — precomputed base cycles in imm, vaddr from raw —
-	// without the interpreter round trip. At monitor level (and in
-	// StepFast) they take the fnSlow route through execute.
+	// without the interpreter round trip. At monitor level they take the
+	// fnSlow route through execute.
 	fnPrivOp
 	fnSlow
 
@@ -359,10 +359,10 @@ type BurstResume func() (horizon uint64, ok bool)
 // block→block. Blocks never run on armed exec pages and bail to this loop
 // on any invalidation, so the tier is invisible to the timeline.
 //
-// Preconditions are StepFast's: BurstSafe holds and the CPU is neither
-// halted nor wedged; the caller guarantees *clk < horizon and maxTicks ≥ 1
-// on entry. Architectural effects and cycle charges are bit-identical to
-// an equivalent sequence of Step calls — including hardware breakpoints,
+// Preconditions: BurstSafe holds and the CPU is neither halted nor
+// wedged; the caller guarantees *clk < horizon and maxTicks ≥ 1 on entry.
+// Architectural effects and cycle charges are bit-identical to an
+// equivalent sequence of Step calls — including hardware breakpoints,
 // which are checked page-granularly: the armed-page test (execPageArmed)
 // is evaluated once per fetch-page crossing, and only instructions on an
 // armed page pay Step's exact per-slot PC comparison. A hit disarms the
@@ -626,67 +626,10 @@ func (c *CPU) fuseTrap(resume BurstResume) (uint64, bool) {
 	return resume()
 }
 
-// StepFast executes one instruction through the decode cache. The caller
-// must guarantee the BurstSafe preconditions and that the CPU is neither
-// halted nor wedged. The bool result reports whether the burst may
-// continue: true only for straight-line ops that completed without a trap.
-// Architectural effects and cycle charges are bit-identical to Step.
-func (c *CPU) StepFast() (StepResult, bool) {
-	instPC := c.PC
-
-	// Hardware breakpoints fire before execution, exactly as in Step.
-	if c.hwBreakAny && c.execPageArmed(instPC>>isa.PageShift) {
-		for i, en := range c.hwBreakEn {
-			if en && c.hwBreak[i] == instPC {
-				c.hwBreakEn[i] = false
-				c.recalcObservers()
-				cyc := c.raise(isa.CauseBRK, instPC, instPC)
-				return StepResult{Cycles: cyc, Wedged: c.wedged, Trapped: isa.CauseBRK}, false
-			}
-		}
-	}
-
-	if instPC&3 != 0 {
-		cyc := c.raise(isa.CauseAlign, instPC, instPC)
-		return StepResult{Cycles: cyc, Wedged: c.wedged, Trapped: isa.CauseAlign}, false
-	}
-	pa, cause, cyc := c.translate(instPC, false)
-	if cause != isa.CauseNone {
-		cyc += c.raise(cause, instPC, instPC)
-		return StepResult{Cycles: cyc, Wedged: c.wedged, Trapped: cause}, false
-	}
-	d := c.decodeLookup(pa)
-	if d == nil {
-		cyc += c.raise(isa.CauseBusError, instPC, instPC)
-		return StepResult{Cycles: cyc, Wedged: c.wedged, Trapped: isa.CauseBusError}, false
-	}
-
-	var res StepResult
-	pure := d.fn > fnSlow
-	if pure {
-		res = c.executeFast(d, instPC)
-	} else {
-		res = c.execute(instPC, d.raw)
-	}
-	res.Cycles += cyc
-	c.Stat.Instructions++
-	// The slow path's TF bookkeeping is skipped: PSR.TF is clear on entry
-	// (BurstSafe) and straight-line ops cannot set it.
-	res.Halted = c.halted
-	res.Wedged = c.wedged
-	return res, pure && res.Trapped == isa.CauseNone
-}
-
 func (c *CPU) setRegFast(r uint8, v uint32) {
 	if r != 0 {
 		c.Regs[r] = v
 	}
-}
-
-// fastTrap mirrors execute's trap helper: charge the op's base cycles (plus
-// any translation extra folded into base by the caller) and deliver.
-func (c *CPU) fastTrap(cause, vaddr, epc uint32, base uint64) StepResult {
-	return StepResult{Cycles: base + c.raise(cause, vaddr, epc), Trapped: cause}
 }
 
 // executeFast runs one predecoded straight-line instruction, mirroring the
@@ -702,15 +645,15 @@ func (c *CPU) executeFast(d *decoded, instPC uint32) StepResult {
 	case fnLW:
 		va := c.Regs[d.rs1] + d.imm
 		if va&3 != 0 {
-			return c.fastTrap(isa.CauseAlign, va, instPC, isa.CycLoad)
+			return c.trapStep(isa.CauseAlign, va, instPC, isa.CycLoad)
 		}
 		pa, cause, extra := c.translate(va, false)
 		if cause != isa.CauseNone {
-			return c.fastTrap(cause, va, instPC, isa.CycLoad+extra)
+			return c.trapStep(cause, va, instPC, isa.CycLoad+extra)
 		}
 		w, ok := c.bus.Read32(pa)
 		if !ok {
-			return c.fastTrap(isa.CauseBusError, va, instPC, isa.CycLoad+extra)
+			return c.trapStep(isa.CauseBusError, va, instPC, isa.CycLoad+extra)
 		}
 		c.setRegFast(d.rd, w)
 		c.PC = instPC + 4
@@ -718,15 +661,15 @@ func (c *CPU) executeFast(d *decoded, instPC uint32) StepResult {
 	case fnLH, fnLHU:
 		va := c.Regs[d.rs1] + d.imm
 		if va&1 != 0 {
-			return c.fastTrap(isa.CauseAlign, va, instPC, isa.CycLoad)
+			return c.trapStep(isa.CauseAlign, va, instPC, isa.CycLoad)
 		}
 		pa, cause, extra := c.translate(va, false)
 		if cause != isa.CauseNone {
-			return c.fastTrap(cause, va, instPC, isa.CycLoad+extra)
+			return c.trapStep(cause, va, instPC, isa.CycLoad+extra)
 		}
 		h, ok := c.bus.Read16(pa)
 		if !ok {
-			return c.fastTrap(isa.CauseBusError, va, instPC, isa.CycLoad+extra)
+			return c.trapStep(isa.CauseBusError, va, instPC, isa.CycLoad+extra)
 		}
 		if d.fn == fnLH {
 			c.setRegFast(d.rd, uint32(int32(int16(h))))
@@ -739,11 +682,11 @@ func (c *CPU) executeFast(d *decoded, instPC uint32) StepResult {
 		va := c.Regs[d.rs1] + d.imm
 		pa, cause, extra := c.translate(va, false)
 		if cause != isa.CauseNone {
-			return c.fastTrap(cause, va, instPC, isa.CycLoad+extra)
+			return c.trapStep(cause, va, instPC, isa.CycLoad+extra)
 		}
 		b, ok := c.bus.Read8(pa)
 		if !ok {
-			return c.fastTrap(isa.CauseBusError, va, instPC, isa.CycLoad+extra)
+			return c.trapStep(isa.CauseBusError, va, instPC, isa.CycLoad+extra)
 		}
 		if d.fn == fnLB {
 			c.setRegFast(d.rd, uint32(int32(int8(b))))
@@ -756,14 +699,14 @@ func (c *CPU) executeFast(d *decoded, instPC uint32) StepResult {
 	case fnSW:
 		va := c.Regs[d.rs1] + d.imm
 		if va&3 != 0 {
-			return c.fastTrap(isa.CauseAlign, va, instPC, isa.CycStore)
+			return c.trapStep(isa.CauseAlign, va, instPC, isa.CycStore)
 		}
 		pa, cause, extra := c.translate(va, true)
 		if cause != isa.CauseNone {
-			return c.fastTrap(cause, va, instPC, isa.CycStore+extra)
+			return c.trapStep(cause, va, instPC, isa.CycStore+extra)
 		}
 		if !c.bus.Write32(pa, c.Regs[d.rd]) {
-			return c.fastTrap(isa.CauseBusError, va, instPC, isa.CycStore+extra)
+			return c.trapStep(isa.CauseBusError, va, instPC, isa.CycStore+extra)
 		}
 		if c.storeObserved(va, 4) {
 			return c.observedStore(va, 4, instPC, isa.CycStore+extra)
@@ -773,14 +716,14 @@ func (c *CPU) executeFast(d *decoded, instPC uint32) StepResult {
 	case fnSH:
 		va := c.Regs[d.rs1] + d.imm
 		if va&1 != 0 {
-			return c.fastTrap(isa.CauseAlign, va, instPC, isa.CycStore)
+			return c.trapStep(isa.CauseAlign, va, instPC, isa.CycStore)
 		}
 		pa, cause, extra := c.translate(va, true)
 		if cause != isa.CauseNone {
-			return c.fastTrap(cause, va, instPC, isa.CycStore+extra)
+			return c.trapStep(cause, va, instPC, isa.CycStore+extra)
 		}
 		if !c.bus.Write16(pa, uint16(c.Regs[d.rd])) {
-			return c.fastTrap(isa.CauseBusError, va, instPC, isa.CycStore+extra)
+			return c.trapStep(isa.CauseBusError, va, instPC, isa.CycStore+extra)
 		}
 		if c.storeObserved(va, 2) {
 			return c.observedStore(va, 2, instPC, isa.CycStore+extra)
@@ -791,10 +734,10 @@ func (c *CPU) executeFast(d *decoded, instPC uint32) StepResult {
 		va := c.Regs[d.rs1] + d.imm
 		pa, cause, extra := c.translate(va, true)
 		if cause != isa.CauseNone {
-			return c.fastTrap(cause, va, instPC, isa.CycStore+extra)
+			return c.trapStep(cause, va, instPC, isa.CycStore+extra)
 		}
 		if !c.bus.Write8(pa, byte(c.Regs[d.rd])) {
-			return c.fastTrap(isa.CauseBusError, va, instPC, isa.CycStore+extra)
+			return c.trapStep(isa.CauseBusError, va, instPC, isa.CycStore+extra)
 		}
 		if c.storeObserved(va, 1) {
 			return c.observedStore(va, 1, instPC, isa.CycStore+extra)

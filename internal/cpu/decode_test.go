@@ -29,9 +29,26 @@ func loadBoth(a, b *CPU, addr uint32, words []uint32) {
 	}
 }
 
-// lockstep runs slow (Step) and fast (StepFast) engines side by side for at
-// most maxSteps, comparing results and complete state after every step.
-// Returns the number of steps taken.
+// stepFast runs one instruction on the predecoded engine: a one-tick
+// BurstRun budget, which no superblock fits (blocks need at least
+// sbMinLen ≥ 2 ticks), so it exercises the per-instruction dispatch.
+// Returns the cycles charged and why the burst stopped.
+func stepFast(c *CPU) (uint64, BurstBreak) {
+	var clk uint64
+	_, brk := c.BurstRun(&clk, ^uint64(0), 1, nil)
+	return clk, brk
+}
+
+// stepMatches reports whether a one-tick burst agrees with Step's result:
+// the same cycles, and a BurstTrap exactly when Step trapped. Halt and
+// wedge state are part of the Snapshot comparison.
+func stepMatches(rs StepResult, cyc uint64, brk BurstBreak) bool {
+	return cyc == rs.Cycles && (brk == BurstTrap) == (rs.Trapped != isa.CauseNone)
+}
+
+// lockstep runs slow (Step) and fast (one-tick BurstRun) engines side by
+// side for at most maxSteps, comparing results and complete state after
+// every step. Returns the number of steps taken.
 func lockstep(t *testing.T, slow, fast *CPU, maxSteps int) int {
 	t.Helper()
 	for i := 0; i < maxSteps; i++ {
@@ -43,10 +60,10 @@ func lockstep(t *testing.T, slow, fast *CPU, maxSteps int) int {
 			return i
 		}
 		rs := slow.Step()
-		rf, _ := fast.StepFast()
-		if rs != rf {
-			t.Fatalf("step %d (pc=%08x): result diverged:\n  slow: %+v\n  fast: %+v",
-				i, slow.PC, rs, rf)
+		cyc, brk := stepFast(fast)
+		if !stepMatches(rs, cyc, brk) {
+			t.Fatalf("step %d (pc=%08x): result diverged:\n  slow: %+v\n  fast: cycles=%d break=%d",
+				i, slow.PC, rs, cyc, brk)
 		}
 		ss, sf := slow.Snapshot(), fast.Snapshot()
 		if ss != sf {
@@ -211,9 +228,8 @@ func TestDecodeCacheRemapMidBurst(t *testing.T) {
 		t.Helper()
 		for i := 0; i < n; i++ {
 			rs := slow.Step()
-			rf, _ := fast.StepFast()
-			if rs != rf {
-				t.Fatalf("engines diverged at pc=%08x: slow %+v fast %+v", slow.PC, rs, rf)
+			if cyc, brk := stepFast(fast); !stepMatches(rs, cyc, brk) {
+				t.Fatalf("engines diverged at pc=%08x: slow %+v fast cycles=%d break=%d", slow.PC, rs, cyc, brk)
 			}
 			if ss, sf := slow.Snapshot(), fast.Snapshot(); ss != sf {
 				t.Fatalf("state diverged at pc=%08x: slow r1=%d fast r1=%d", ss.PC, ss.Regs[1], sf.Regs[1])

@@ -341,3 +341,39 @@ func TestWatchpointCoversMOVS(t *testing.T) {
 		t.Fatalf("remaining %d", c.Regs[3])
 	}
 }
+
+// TestWatchpointCoversSTOS: a bulk fill over the watched range fires with
+// the same restartable semantics as MOVS — the chunk commits, the
+// progress registers advance, and the trap names the stos as its epc.
+func TestWatchpointCoversSTOS(t *testing.T) {
+	b := bus.New(1 << 16)
+	c := New(b, 0x1000)
+	b.Write32(0x1000, isa.EncodeR(isa.OpSTOS, 0, 0, 0))
+	b.Write32(0x1004, isa.EncodeR(isa.OpHLT, 0, 0, 0))
+	b.Write32(0x4010, 0xFFFFFFFF)
+	c.Regs[1], c.Regs[2], c.Regs[3] = 0x4000, 0, 64
+	if err := c.SetWatchpoint(1, 0x4010, 4, true); err != nil {
+		t.Fatal(err)
+	}
+	var hits []uint32
+	c.Diverter = func(cause, vaddr, epc uint32) DivertAction {
+		if cause == isa.CauseWatch {
+			hits = append(hits, vaddr, epc)
+			return DivertExit
+		}
+		return DivertReflect
+	}
+	res := c.Step()
+	if res.Trapped != isa.CauseWatch || len(hits) != 2 {
+		t.Fatalf("trapped=%s hits=%x", isa.CauseName(res.Trapped), hits)
+	}
+	if hits[0] != 0x4010 || hits[1] != 0x1000 {
+		t.Fatalf("watch vaddr/epc = %#x/%#x, want 0x4010/0x1000", hits[0], hits[1])
+	}
+	if v, _ := b.Read32(0x4010); v != 0 {
+		t.Fatalf("fill did not commit before the watch fired: %#x", v)
+	}
+	if c.Regs[1] != 0x4040 || c.Regs[3] != 0 {
+		t.Fatalf("progress registers r1=%#x r3=%d, want 0x4040/0", c.Regs[1], c.Regs[3])
+	}
+}

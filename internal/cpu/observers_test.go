@@ -154,7 +154,7 @@ func TestRestoreRebuildsArming(t *testing.T) {
 }
 
 // TestOneShotDisarmRecalc checks that a hardware breakpoint firing — via
-// Step, StepFast, or inside BurstRun — leaves the derived arming state
+// Step or inside BurstRun — leaves the derived arming state
 // consistent with the now-disarmed slot.
 func TestOneShotDisarmRecalc(t *testing.T) {
 	const src = `
@@ -168,12 +168,6 @@ func TestOneShotDisarmRecalc(t *testing.T) {
 		"Step": func(c *CPU) {
 			if res := c.Step(); res.Trapped != isa.CauseBRK {
 				t.Fatalf("Step: trapped %d, want BRK", res.Trapped)
-			}
-		},
-		"StepFast": func(c *CPU) {
-			res, _ := c.StepFast()
-			if res.Trapped != isa.CauseBRK {
-				t.Fatalf("StepFast: trapped %d, want BRK", res.Trapped)
 			}
 		},
 		"BurstRun": func(c *CPU) {

@@ -366,13 +366,20 @@ func TestSuperblockChainInvalidationUnderRace(t *testing.T) {
 // genChainInstr draws instructions for the superblock fuzzer: the mix
 // leans branch-heavy (short backward loops chain and batch) and includes
 // stores through r14 into the code page itself (SMC and mid-block
-// invalidation) as well as ordinary scratch memory traffic.
+// invalidation) as well as ordinary scratch memory traffic. Every
+// straight-line op is drawn, so each superblock body and batched
+// self-loop arm is compared against Step. ANDI/ORI/XORI results feed the
+// register forms small, zero and ≥ 32 operands (zero DIVU/REMU divisors,
+// shift counts the &31 mask must cut), and JALR jumps through r14 (the
+// code page base) back into the program. Selectors 0–11 keep their
+// original meaning, so the commented seeds below decode as described.
 func genChainInstr(sel, a, b byte) uint32 {
 	r1, r2 := 1+int(a)%13, 1+int(b)%13
-	switch sel % 12 {
+	pick := func(ops ...uint32) uint32 { return ops[int(a)%len(ops)] }
+	switch sel % 19 {
 	case 0, 1, 2:
-		alu := []uint32{isa.OpADD, isa.OpSUB, isa.OpAND, isa.OpOR, isa.OpXOR, isa.OpSLT}
-		return isa.EncodeR(alu[int(a)%len(alu)], r1, r2, 1+int(sel)%13)
+		alu := pick(isa.OpADD, isa.OpSUB, isa.OpAND, isa.OpOR, isa.OpXOR, isa.OpSLT, isa.OpSLTU, isa.OpMUL)
+		return isa.EncodeR(alu, r1, r2, 1+int(sel)%13)
 	case 3, 4:
 		return isa.EncodeI(isa.OpADDI, r1, r2, int32(int8(b)))
 	case 5:
@@ -390,8 +397,24 @@ func genChainInstr(sel, a, b byte) uint32 {
 		return isa.EncodeI(isa.OpSW, r1, 15, int32(b%64)*4)
 	case 10:
 		return isa.EncodeI(isa.OpLW, r1, 15, int32(b%64)*4)
-	default:
+	case 11:
 		return isa.EncodeI(isa.OpADDI, r1, r1, 1)
+	case 12:
+		return isa.EncodeR(pick(isa.OpSHL, isa.OpSHR, isa.OpSRA), r1, r2, 1+int(sel)%13)
+	case 13:
+		return isa.EncodeR(pick(isa.OpDIVU, isa.OpREMU), r1, r2, 1+int(b/13)%13)
+	case 14:
+		return isa.EncodeI(pick(isa.OpANDI, isa.OpORI, isa.OpXORI), r1, r2, int32(b))
+	case 15:
+		// Immediate shift amounts above 31 probe the count mask.
+		return isa.EncodeI(pick(isa.OpSHLI, isa.OpSHRI, isa.OpSRAI), r1, r2, int32(b%64))
+	case 16:
+		return isa.EncodeI(isa.OpLUI, r1, 0, int32(a)<<8|int32(b))
+	case 17:
+		// Signed and unsigned compares, backward (a loop) or forward.
+		return isa.EncodeI(pick(isa.OpBLT, isa.OpBGE, isa.OpBLTU, isa.OpBGEU), r1, r2, int32(b%8)-4)
+	default:
+		return isa.EncodeI(isa.OpJALR, r1, 14, int32(b%32)*4)
 	}
 }
 
@@ -429,10 +452,15 @@ func superblockDiffBody(t *testing.T, data []byte) {
 }
 
 func FuzzSuperblockDiff(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3, 4, 5, 5, 9, 2}) // ALU + backward branch
-	f.Add([]byte{8, 200, 1, 5, 3, 3})        // SMC store + loop
-	f.Add([]byte{11, 0, 0, 5, 1, 1})         // tight addi/bne self-loop
-	f.Add([]byte{7, 1, 1, 7, 2, 2, 5, 9, 9}) // jumps + branch
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 5, 1, 2})    // ALU + backward branch
+	f.Add([]byte{8, 200, 1, 11, 0, 0, 5, 2, 0}) // SMC store + loop
+	f.Add([]byte{11, 0, 0, 5, 13, 1})           // tight addi/bne self-loop
+	f.Add([]byte{7, 1, 1, 7, 2, 2, 5, 9, 9})    // jumps + branch
+
+	// divu/remu by zero, shl by 42 and sltu in a batched bgeu self-loop.
+	f.Add([]byte{14, 0, 0, 14, 4, 40, 13, 1, 4, 13, 2, 4, 69, 3, 4, 2, 6, 2, 17, 15, 8})
+	// lui and shri by 40 in a jalr loop.
+	f.Add([]byte{16, 1, 2, 15, 1, 40, 18, 0, 0})
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 8; i++ {
 		seed := make([]byte, 12+rng.Intn(60))

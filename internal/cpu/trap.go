@@ -21,7 +21,7 @@ func (c *CPU) raise(cause, vaddr, epc uint32) uint64 {
 // DivertResumed reports whether the most recently raised trap was consumed
 // by the Diverter with DivertResume: the monitor fully emulated it in place
 // and the guest may continue on the predecoded fast path. The machine's run
-// loop consults it after a trapping StepFast to decide whether to fuse the
+// loop consults it after a trap ends a burst to decide whether to fuse the
 // next burst onto the same crossing.
 func (c *CPU) DivertResumed() bool { return c.divertResumed }
 
