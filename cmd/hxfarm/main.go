@@ -192,12 +192,12 @@ func cmdQuery(s *farm.Store, args []string) {
 // re-executes it to the point of interest — the "pre-seeked to the bug"
 // half of the farm's answer.
 func seekMatch(m farm.Match, budget int64) error {
-	src, err := replay.OpenSourceFile(m.Run.Result.TracePath, budget)
+	lt, err := replay.OpenSourceFile(m.Run.Result.TracePath, budget)
 	if err != nil {
 		return err
 	}
-	defer replay.CloseSource(src)
-	rt, err := lvmm.ReplaySource(src)
+	defer lt.Close()
+	rt, err := lvmm.ReplaySource(lt)
 	if err != nil {
 		return err
 	}

@@ -56,7 +56,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   hxreplay record -o FILE [-platform P] [-rate MBPS] [-seconds S]
-                  [-snap-interval CYCLES] [-keyframe-every N] [-v2]
+                  [-snap-interval CYCLES] [-keyframe-every N] [-sync]
   hxreplay replay FILE
   hxreplay info   FILE
   hxreplay diff   FILE1 FILE2
@@ -83,7 +83,6 @@ func cmdRecord(args []string) error {
 	seconds := fs.Float64("seconds", 0.5, "virtual run length")
 	snapInterval := fs.Uint64("snap-interval", 0, "snapshot spacing in cycles (0 = default)")
 	keyframeEvery := fs.Int("keyframe-every", 0, "full keyframe every N snapshots, deltas between (0 = default, 1 = no deltas)")
-	v2 := fs.Bool("v2", false, "buffer in memory and write the legacy monolithic v2 format")
 	sync := fs.Bool("sync", false, "serialize segments on the run goroutine instead of the async pipeline (bytes are identical; debugging aid)")
 	fs.Parse(args)
 
@@ -99,37 +98,9 @@ func cmdRecord(args []string) error {
 	}
 	opts := lvmm.RecordOptions{SnapshotInterval: *snapInterval, KeyframeEvery: *keyframeEvery, Sync: *sync}
 
-	if *v2 {
-		// Legacy path: accumulate the whole trace, then one blob. The v2
-		// container has no delta segments, so force full snapshots.
-		opts.KeyframeEvery = 1
-		rec := t.Record(opts)
-		stats, err := t.Run()
-		if err != nil {
-			return err
-		}
-		tr := rec.Finish()
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		if err := tr.WriteV2(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Println(stats)
-		fmt.Printf("recorded %d events, %d snapshots, %d cycles, %d instructions -> %s (v2)\n",
-			len(tr.Events), len(tr.Checkpoints), tr.EndCycle, tr.EndInstr, *out)
-		fmt.Printf("final state digest %#016x\n", tr.EndDigest)
-		return nil
-	}
-
-	// Streaming path (default): segments flush to the file as the run
-	// proceeds; recorder memory stays bounded by one event batch plus
-	// one snapshot however long the recording runs.
+	// Segments flush to the file as the run proceeds; recorder memory
+	// stays bounded by one event batch plus one snapshot however long the
+	// recording runs.
 	f, err := os.Create(*out)
 	if err != nil {
 		return err
@@ -164,13 +135,14 @@ func cmdReplay(args []string) error {
 	}
 	// v3 traces open lazily through the seek index: the replay session
 	// holds O(LRU budget) of trace data however large the file is. v2
-	// monolithic traces have no index and load fully.
-	src, err := replay.OpenSourceFile(args[0], 0)
+	// monolithic traces have no index; they convert to an in-memory v3
+	// container first.
+	lt, err := replay.OpenSourceFile(args[0], 0)
 	if err != nil {
 		return enrichOpenError(args[0], err)
 	}
-	defer replay.CloseSource(src)
-	rt, err := lvmm.ReplaySource(src)
+	defer lt.Close()
+	rt, err := lvmm.ReplaySource(lt)
 	if err != nil {
 		return err
 	}
@@ -178,15 +150,15 @@ func cmdReplay(args []string) error {
 	if err != nil {
 		return err
 	}
-	endCycle, _, _, endDigest := src.End()
+	endCycle, _, _, endDigest := lt.End()
 	fmt.Println(stats)
-	if src.Meta().Salvaged {
+	if lt.Meta().Salvaged {
 		fmt.Printf("salvaged replay verified: all %d recovered events re-executed at their recorded positions (no end seal to check)\n",
-			src.NumEvents())
+			lt.NumEvents())
 		return nil
 	}
 	fmt.Printf("replay verified bit-identical: %d events, final digest %#016x at cycle %d\n",
-		src.NumEvents(), endDigest, endCycle)
+		lt.NumEvents(), endDigest, endCycle)
 	return nil
 }
 
@@ -259,13 +231,23 @@ func cmdInfo(args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("usage: hxreplay info FILE")
 	}
-	src, err := replay.OpenSourceFile(args[0], 0)
+	lt, err := replay.OpenSourceFile(args[0], 0)
 	if err != nil {
 		return enrichOpenError(args[0], err)
 	}
-	defer replay.CloseSource(src)
-	m := src.Meta()
-	endCycle, endInstr, _, endDigest := src.End()
+	defer lt.Close()
+	ver, err := replay.TraceFileVersion(args[0])
+	if err != nil {
+		return err
+	}
+	m := lt.Meta()
+	endCycle, endInstr, _, endDigest := lt.End()
+	if ver == replay.TraceVersion {
+		fmt.Printf("format:      v%d\n", ver)
+	} else {
+		fmt.Printf("format:      v%d (legacy monolithic blob; segments below are its in-memory v%d conversion)\n",
+			ver, replay.TraceVersion)
+	}
 	fmt.Printf("platform:    %v\n", lvmm.Platform(m.Platform))
 	if m.Label != "" {
 		fmt.Printf("label:       %s\n", m.Label)
@@ -287,30 +269,15 @@ func cmdInfo(args []string) error {
 	fmt.Printf("end digest:  %#016x\n", endDigest)
 
 	keyframes, deltas := 0, 0
-	for i := 0; i < src.NumCheckpoints(); i++ {
-		if src.CheckpointMeta(i).Delta {
+	for i := 0; i < lt.NumCheckpoints(); i++ {
+		if lt.CheckpointMeta(i).Delta {
 			deltas++
 		} else {
 			keyframes++
 		}
 	}
 
-	lt, lazy := src.(*replay.LazyTrace)
-	if !lazy {
-		// Legacy v2 blob: everything is resident anyway.
-		counts := map[replay.EventKind]int{}
-		for i := 0; i < src.NumEvents(); i++ {
-			ev, _ := src.Event(i)
-			counts[ev.Kind]++
-		}
-		printEventCounts(src.NumEvents(), counts)
-		fmt.Printf("snapshots:   %d (%d keyframes, %d deltas)\n", src.NumCheckpoints(), keyframes, deltas)
-		printCheckpointStubs(src)
-		fmt.Printf("segments:    none (v%d monolithic blob)\n", m.Version)
-		return nil
-	}
-
-	// v3: all per-segment stats come from the seek index; only the event
+	// All per-segment stats come from the seek index; only the event
 	// kind breakdown needs payloads, decoded one batch at a time through
 	// the reader (never cached) — info on a multi-GB trace stays
 	// O(largest segment) resident.
@@ -331,9 +298,11 @@ func cmdInfo(args []string) error {
 			counts[ev.Kind]++
 		}
 	}
-	printEventCounts(events, counts)
-	fmt.Printf("snapshots:   %d (%d keyframes, %d deltas)\n", src.NumCheckpoints(), keyframes, deltas)
-	printCheckpointStubs(src)
+	fmt.Printf("events:      %d (irq %d, vtimer %d, frame %d, input %d, fault %d)\n", events,
+		counts[replay.EvIRQ], counts[replay.EvTimer], counts[replay.EvFrame],
+		counts[replay.EvInput], counts[replay.EvFault])
+	fmt.Printf("snapshots:   %d (%d keyframes, %d deltas)\n", lt.NumCheckpoints(), keyframes, deltas)
+	printCheckpointStubs(lt)
 	fmt.Printf("segments:    %d\n", len(segs))
 	for i, sg := range segs {
 		detail := ""
@@ -349,18 +318,12 @@ func cmdInfo(args []string) error {
 	return nil
 }
 
-func printEventCounts(total int, counts map[replay.EventKind]int) {
-	fmt.Printf("events:      %d (irq %d, vtimer %d, frame %d, input %d, fault %d)\n", total,
-		counts[replay.EvIRQ], counts[replay.EvTimer], counts[replay.EvFrame],
-		counts[replay.EvInput], counts[replay.EvFault])
-}
-
 // printCheckpointStubs lists checkpoints from the always-resident
-// metadata (the seek index for a lazy source), so no snapshot payload
-// is materialized for the listing.
-func printCheckpointStubs(src replay.Source) {
-	for i := 0; i < src.NumCheckpoints(); i++ {
-		cm := src.CheckpointMeta(i)
+// metadata (the seek index), so no snapshot payload is materialized for
+// the listing.
+func printCheckpointStubs(lt *replay.LazyTrace) {
+	for i := 0; i < lt.NumCheckpoints(); i++ {
+		cm := lt.CheckpointMeta(i)
 		kind := "keyframe"
 		if cm.Delta {
 			kind = "delta"

@@ -124,7 +124,11 @@ func timeTravelScenario(img *asm.Image) {
 	// Replay: rebuild the identical machine and attach the replayer; the
 	// debug stub gains the RSP reverse-execution packets (bs/bc).
 	m2, v2, stub2 := buildCrashTarget(img)
-	rp, err := replay.NewReplayer(tr, m2, v2, nil)
+	lt, err := replay.OpenTrace(tr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	rp, err := replay.NewReplayer(lt, m2, v2, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -198,21 +198,25 @@ func TestParsePredicate(t *testing.T) {
 }
 
 // synthSource builds an in-memory timeline for precise Eval semantics.
-func synthSource(end uint64, events ...replay.Event) replay.Source {
-	tr := &replay.Trace{
+func synthSource(t *testing.T, end uint64, events ...replay.Event) *replay.LazyTrace {
+	t.Helper()
+	lt, err := replay.OpenTrace(&replay.Trace{
 		Events:      events,
 		Checkpoints: []replay.Checkpoint{{Index: 0, Instr: 0, Cycle: 0}},
 		EndCycle:    end,
 		EndInstr:    end / 2,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return tr.AsSource()
+	return lt
 }
 
 func TestPredicateEval(t *testing.T) {
 	ev := func(kind replay.EventKind, cycle uint64) replay.Event {
 		return replay.Event{Kind: kind, Cycle: cycle, Instr: cycle / 2}
 	}
-	timeline := synthSource(10_000,
+	timeline := synthSource(t, 10_000,
 		ev(replay.EvFrame, 1_000),
 		ev(replay.EvIRQ, 1_500),
 		ev(replay.EvFrame, 1_200),
@@ -363,13 +367,13 @@ func TestFarmEndToEnd(t *testing.T) {
 	// the longest frame gap of the first base run. Querying for exactly
 	// that stall must at least match that run, identically at any -j.
 	probe := baseResults[0]
-	src, err := replay.OpenSourceFile(probe.TracePath, 1<<20)
+	lt, err := replay.OpenSourceFile(probe.TracePath, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	maxGap, prev := uint64(0), src.CheckpointMeta(0).Cycle
-	for i := 0; i < src.NumEvents(); i++ {
-		ev, err := src.Event(i)
+	maxGap, prev := uint64(0), lt.CheckpointMeta(0).Cycle
+	for i := 0; i < lt.NumEvents(); i++ {
+		ev, err := lt.Event(i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -381,11 +385,11 @@ func TestFarmEndToEnd(t *testing.T) {
 		}
 		prev = ev.Cycle
 	}
-	endCycle, _, _, _ := src.End()
+	endCycle, _, _, _ := lt.End()
 	if g := endCycle - prev; g > maxGap {
 		maxGap = g
 	}
-	replay.CloseSource(src)
+	lt.Close()
 	if maxGap == 0 {
 		t.Fatal("probe trace has no frame gap to query for")
 	}
@@ -437,12 +441,12 @@ func TestFarmEndToEnd(t *testing.T) {
 	// Time travel into a match: rebuild the machine from the trace and
 	// land exactly on the point of interest.
 	m := q1.Matches[0]
-	msrc, err := replay.OpenSourceFile(m.Run.Result.TracePath, 1<<20)
+	mlt, err := replay.OpenSourceFile(m.Run.Result.TracePath, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer replay.CloseSource(msrc)
-	rt, err := lvmm.ReplaySource(msrc)
+	defer mlt.Close()
+	rt, err := lvmm.ReplaySource(mlt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,17 +116,17 @@ func (p Predicate) cmp(v uint64) bool {
 // preceding the gap — the instant the stall started); for threshold
 // counts (>=, >), the occurrence that crossed the threshold; for
 // upper-bound counts, the end of the recording (only decidable there).
-func (p Predicate) Eval(src replay.Source) (bool, Point, error) {
-	endCycle, endInstr, _, _ := src.End()
-	start := src.CheckpointMeta(0)
-	total := src.NumEvents()
+func (p Predicate) Eval(lt *replay.LazyTrace) (bool, Point, error) {
+	endCycle, endInstr, _, _ := lt.End()
+	start := lt.CheckpointMeta(0)
+	total := lt.NumEvents()
 
 	count := uint64(0)
 	// The current gap starts at the recording start until the first
 	// occurrence arrives.
 	gapStart := Point{Instr: start.Instr, Cycle: start.Cycle}
 	for i := 0; i < total; i++ {
-		ev, err := src.Event(i)
+		ev, err := lt.Event(i)
 		if err != nil {
 			return false, Point{}, err
 		}
@@ -245,13 +245,13 @@ func (s *Store) Query(ctx context.Context, pred Predicate, opts QueryOptions) (*
 	}
 	fleet.Runner{Jobs: opts.Jobs}.ForEach(ctx, len(scan), func(k int) {
 		i := scan[k]
-		src, err := replay.OpenSourceFile(runs[i].Result.TracePath, opts.Budget)
+		lt, err := replay.OpenSourceFile(runs[i].Result.TracePath, opts.Budget)
 		if err != nil {
 			slots[i].err = fmt.Errorf("run %s: %w", runs[i].ID, err)
 			return
 		}
-		defer replay.CloseSource(src)
-		slots[i].matched, slots[i].pt, slots[i].err = pred.Eval(src)
+		defer lt.Close()
+		slots[i].matched, slots[i].pt, slots[i].err = pred.Eval(lt)
 		if slots[i].err != nil {
 			slots[i].err = fmt.Errorf("run %s: %w", runs[i].ID, slots[i].err)
 		}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"lvmm/internal/rsp"
 )
 
 // qXfer:memory-map:read service (one of the paper-era RSP gaps): GDB
@@ -42,7 +44,7 @@ func (s *Stub) handleMemoryMap(args string) {
 	}
 	off, err1 := strconv.ParseUint(args[:comma], 16, 32)
 	n, err2 := strconv.ParseUint(args[comma+1:], 16, 32)
-	if err1 != nil || err2 != nil || n == 0 || n > 0x10000 {
+	if err1 != nil || err2 != nil || n == 0 || n > rsp.MaxMemXfer {
 		s.send("E01")
 		return
 	}

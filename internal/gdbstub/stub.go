@@ -396,7 +396,7 @@ func parseAddrLen(s string) (uint32, int, error) {
 	}
 	addr, err1 := strconv.ParseUint(s[:comma], 16, 32)
 	n, err2 := strconv.ParseUint(s[comma+1:], 16, 32)
-	if err1 != nil || err2 != nil || n > 0x10000 {
+	if err1 != nil || err2 != nil || n > rsp.MaxMemXfer {
 		return 0, 0, fmt.Errorf("bad addr/len")
 	}
 	return uint32(addr), int(n), nil

@@ -71,7 +71,7 @@ func TestAsyncRecordDifferential(t *testing.T) {
 	}
 	for _, slow := range []bool{false, true} {
 		m2, v2 := buildTrapDense(t, slow)
-		rp, err := NewReplayer(tr, m2, v2, nil)
+		rp, err := NewReplayer(openTrace(t, tr), m2, v2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -101,7 +101,7 @@ func TestFusedCrossEngineRecordReplay(t *testing.T) {
 	rerun := func(tr *Trace, slow bool) {
 		t.Helper()
 		m, v := build(slow)
-		rp, err := NewReplayer(tr, m, v, nil)
+		rp, err := NewReplayer(openTrace(t, tr), m, v, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -75,10 +75,11 @@ func FuzzSegmentReader(f *testing.F) {
 }
 
 // FuzzOpenSourceFile throws arbitrary bytes at the whole trace-opening
-// surface — format sniffing, the lazy v3 path, and the monolithic v2
-// loader — then drives the returned Source the way a replay session
-// would. Every call must return data or an error; panics and unbounded
-// allocations are the bugs this fuzzer exists to find.
+// surface — format sniffing, the lazy v3 path, and the v2 loader with
+// its in-memory v3 conversion — then drives the returned LazyTrace the
+// way a replay session would. Every call must return data or an error;
+// panics and unbounded allocations are the bugs this fuzzer exists to
+// find.
 func FuzzOpenSourceFile(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
@@ -88,40 +89,41 @@ func FuzzOpenSourceFile(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		src, err := OpenSourceFile(path, 1<<20)
+		lt, err := OpenSourceFile(path, 1<<20)
 		if err != nil {
 			return
 		}
-		defer CloseSource(src)
+		defer lt.Close()
 
-		_ = src.Meta()
-		_, _, _, _ = src.End()
-		_ = src.StartInstr()
+		_ = lt.Meta()
+		_, _, _, _ = lt.End()
+		_ = lt.StartInstr()
 
-		n := src.NumEvents()
+		n := lt.NumEvents()
 		if n > fuzzEventCap {
 			n = fuzzEventCap
 		}
 		for i := 0; i < n; i++ {
-			if _, err := src.Event(i); err != nil {
+			if _, err := lt.Event(i); err != nil {
 				break
 			}
 		}
-		if idx, err := src.NextInput(0); err == nil && idx >= 0 {
-			_, _ = src.Event(idx)
+		if idx, err := lt.NextInput(0); err == nil && idx >= 0 {
+			_, _ = lt.Event(idx)
 		}
 
-		cps := src.NumCheckpoints()
+		cps := lt.NumCheckpoints()
 		if cps > 64 {
 			cps = 64
 		}
 		for i := 0; i < cps; i++ {
-			cm := src.CheckpointMeta(i)
-			_ = src.ByIndex(cm.Index)
-			if _, err := src.Checkpoint(i); err != nil {
+			cm := lt.CheckpointMeta(i)
+			_ = lt.byIndex(cm.Index)
+			_ = lt.nearestCheckpoint(cm.Instr)
+			if _, err := lt.Checkpoint(i); err != nil {
 				break
 			}
 		}
-		_ = src.FreshIndex()
+		_ = lt.freshIndex()
 	})
 }

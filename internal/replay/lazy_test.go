@@ -2,8 +2,11 @@ package replay
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"lvmm/internal/asm"
@@ -41,11 +44,20 @@ func lazyOpen(t *testing.T, data []byte, budget int64) *LazyTrace {
 	return lt
 }
 
-// TestLazyReplayDifferential proves the lazy engine is the resident
-// engine: the same streamed trace replayed through a LazyTrace and
-// through the fully loaded Trace must verify end to end on both
-// execution engines, and the lazily decoded metadata must match the
-// full loader's.
+// openTrace opens an in-memory trace as the LazyTrace a Replayer reads.
+func openTrace(t testing.TB, tr *Trace) *LazyTrace {
+	t.Helper()
+	lt, err := OpenTrace(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lt
+}
+
+// TestLazyReplayDifferential proves the lazy reader is the full loader:
+// its stubs, events, end seal and every decoded checkpoint must match
+// ReadTrace's, and the trace must replay through it end to end on both
+// execution engines.
 func TestLazyReplayDifferential(t *testing.T) {
 	data := streamTrapDense(t, Options{SnapshotInterval: 20_000_000, KeyframeEvery: 3, EventBatch: 64})
 
@@ -70,6 +82,13 @@ func TestLazyReplayDifferential(t *testing.T) {
 			t.Fatalf("checkpoint %d stub %+v does not match full loader's %d/%d/%d/%d/%v",
 				i, cm, cp.Index, cp.Instr, cp.Cycle, cp.EventIndex, cp.Delta)
 		}
+		got, err := lt.Checkpoint(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, cp) {
+			t.Fatalf("checkpoint %d decodes differently through the lazy reader", i)
+		}
 	}
 	ec, ei, er, ed := lt.End()
 	if ec != tr.EndCycle || ei != tr.EndInstr || er != tr.EndReason || ed != tr.EndDigest {
@@ -89,7 +108,7 @@ func TestLazyReplayDifferential(t *testing.T) {
 	for _, slow := range []bool{false, true} {
 		lt2 := lazyOpen(t, data, 0)
 		m, v := buildTrapDense(t, slow)
-		rp, err := NewReplayerSource(lt2, m, v, nil)
+		rp, err := NewReplayer(lt2, m, v, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +150,7 @@ func TestLazyReplayBoundedMemory(t *testing.T) {
 	replay := func(data []byte) *LazyTrace {
 		lt := lazyOpen(t, data, budget)
 		m, v := buildEndless(t)
-		rp, err := NewReplayerSource(lt, m, v, nil)
+		rp, err := NewReplayer(lt, m, v, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,8 +184,8 @@ func TestLazyReplayBoundedMemory(t *testing.T) {
 // TestLazyEvictionReFaultDifferential is the LRU correctness property:
 // drive reverse operations through a cache so small that checkpoint and
 // event segments are evicted and re-faulted mid-session, and require
-// every landing to be bit-identical to the same operations on a cold
-// fully resident replay — on both execution engines.
+// every landing to be bit-identical to the same operations on a replay
+// whose cache never evicts — on both execution engines.
 func TestLazyEvictionReFaultDifferential(t *testing.T) {
 	data := streamTrapDense(t, Options{SnapshotInterval: 15_000_000, KeyframeEvery: 4, EventBatch: 32})
 	tr, err := ReadTrace(bytes.NewReader(data))
@@ -183,9 +202,11 @@ func TestLazyEvictionReFaultDifferential(t *testing.T) {
 	}
 
 	for _, slow := range []bool{false, true} {
-		// Reference: cold, fully resident replay.
+		// Reference: a budget no trace reaches, so nothing is evicted and
+		// every segment decodes at most once.
+		ref := lazyOpen(t, data, 1<<62)
 		mF, vF := buildTrapDense(t, slow)
-		rpF, err := NewReplayer(tr, mF, vF, nil)
+		rpF, err := NewReplayer(ref, mF, vF, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +214,7 @@ func TestLazyEvictionReFaultDifferential(t *testing.T) {
 		// (one snapshot at a time, roughly), forcing eviction traffic.
 		lt := lazyOpen(t, data, 96<<10)
 		mL, vL := buildTrapDense(t, slow)
-		rpL, err := NewReplayerSource(lt, mL, vL, nil)
+		rpL, err := NewReplayer(lt, mL, vL, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +284,11 @@ func TestLazyEvictionReFaultDifferential(t *testing.T) {
 			t.Fatalf("only %d faults over %d segments — the cache never evicted, shrink the budget",
 				lt.Faults(), len(lt.Reader().Segments()))
 		}
+		if ref.Faults() > int64(len(ref.Reader().Segments())) {
+			t.Fatalf("reference faulted %d times over %d segments — it evicted", ref.Faults(), len(ref.Reader().Segments()))
+		}
 		lt.Close()
+		ref.Close()
 	}
 }
 
@@ -276,7 +301,7 @@ func TestLazyLiveCheckpoint(t *testing.T) {
 	lt := lazyOpen(t, data, 96<<10)
 	defer lt.Close()
 	m, v := buildTrapDense(t, false)
-	rp, err := NewReplayerSource(lt, m, v, nil)
+	rp, err := NewReplayer(lt, m, v, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,61 +330,159 @@ func TestLazyLiveCheckpoint(t *testing.T) {
 	if got := Digest(m, v); got != dig {
 		t.Fatalf("post-checkpoint re-seek digest %#x, want %#x", got, dig)
 	}
-	if got := nearestCheckpointIdx(lt, pos); lt.CheckpointMeta(got).Instr != pos {
+	if got := lt.nearestCheckpoint(pos); lt.CheckpointMeta(got).Instr != pos {
 		t.Fatalf("nearest checkpoint to %d is at %d — live snapshot not found by the seek planner",
 			pos, lt.CheckpointMeta(got).Instr)
 	}
 }
 
-// TestOpenSourceFile proves the format sniffing: a v3 file opens lazily,
-// a legacy v2 file falls back to the full loader, and both replay.
+// TestOpenSourceFile proves the format sniffing: a v3 file opens
+// lazily on the file itself and replays, and the legacy v2 golden opens
+// through its in-memory v3 conversion with everything the full loader
+// sees. (The golden's replay runs at the root:
+// TestV2GoldenReplaysBitIdentically.)
 func TestOpenSourceFile(t *testing.T) {
-	dir := t.TempDir()
-
-	// KeyframeEvery 1: the v2 format cannot carry delta checkpoints.
 	data := streamTrapDense(t, Options{SnapshotInterval: 40_000_000, KeyframeEvery: 1, EventBatch: 64})
-	v3path := filepath.Join(dir, "v3.trc")
+	v3path := filepath.Join(t.TempDir(), "v3.trc")
 	if err := os.WriteFile(v3path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	lt3, err := OpenSourceFile(v3path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lt3.Close()
+	if lt3.closer == nil {
+		t.Fatal("v3 file was not opened lazily on the file itself")
+	}
+	m, v := buildTrapDense(t, false)
+	rp, err := NewReplayer(lt3, m, v, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rp.RunToEnd(); err != nil {
+		t.Fatalf("replay through the v3 file diverged: %v", err)
+	}
 
-	tr, err := ReadTrace(bytes.NewReader(data))
+	v2path := filepath.Join("..", "..", "testdata", "v2-golden.trc")
+	if ver, err := TraceFileVersion(v2path); err != nil || ver != traceVersionV2 {
+		t.Fatalf("golden reports version %d (%v), want %d", ver, err, traceVersionV2)
+	}
+	tr, err := ReadTraceFile(v2path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var v2buf bytes.Buffer
-	if err := tr.WriteV2(&v2buf); err != nil {
-		t.Fatal(err)
-	}
-	v2path := filepath.Join(dir, "v2.trc")
-	if err := os.WriteFile(v2path, v2buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	src3, err := OpenSourceFile(v3path, 0)
+	lt2, err := OpenSourceFile(v2path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer CloseSource(src3)
-	if _, ok := src3.(*LazyTrace); !ok {
-		t.Fatalf("v3 file opened as %T, want *LazyTrace", src3)
+	defer lt2.Close()
+	if lt2.NumEvents() != len(tr.Events) || lt2.NumCheckpoints() != len(tr.Checkpoints) {
+		t.Fatalf("v2 conversion has %d events, %d checkpoints; full loader %d, %d",
+			lt2.NumEvents(), lt2.NumCheckpoints(), len(tr.Events), len(tr.Checkpoints))
 	}
-	src2, err := OpenSourceFile(v2path, 0)
-	if err != nil {
-		t.Fatal(err)
+	if ec, ei, er, ed := lt2.End(); ec != tr.EndCycle || ei != tr.EndInstr || er != tr.EndReason || ed != tr.EndDigest {
+		t.Fatal("v2 conversion's end seal does not match the full loader's")
 	}
-	defer CloseSource(src2)
-	if _, ok := src2.(*LazyTrace); ok {
-		t.Fatal("v2 file opened lazily; it has no seek index")
-	}
-	for _, src := range []Source{src3, src2} {
-		m, v := buildTrapDense(t, false)
-		rp, err := NewReplayerSource(src, m, v, nil)
+	for i := range tr.Events {
+		ev, err := lt2.Event(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := rp.RunToEnd(); err != nil {
-			t.Fatalf("replay through %T diverged: %v", src, err)
+		if !reflect.DeepEqual(ev, tr.Events[i]) {
+			t.Fatalf("v2 conversion event %d differs from the full loader's", i)
 		}
+	}
+	for i := range tr.Checkpoints {
+		cp, err := lt2.Checkpoint(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(cp, &tr.Checkpoints[i]) {
+			t.Fatalf("v2 conversion checkpoint %d differs from the full loader's", i)
+		}
+	}
+}
+
+// TestUnindexedBytesRejected splices bytes between two indexed segments
+// and shifts the index so every entry still points at its segment. A
+// trustworthy index tiles the file, so both the lazy open and the full
+// loader must refuse the result; the same rebuild without the splice
+// must open.
+func TestUnindexedBytesRejected(t *testing.T) {
+	data := streamTrapDense(t, Options{SnapshotInterval: 40_000_000, EventBatch: 64})
+	sr, err := NewSegmentReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	splice := func(junk []byte) []byte {
+		segs := append([]SegmentInfo(nil), sr.Segments()...)
+		k := len(segs) / 2
+		last := segs[len(segs)-1]
+		var out bytes.Buffer
+		out.Write(data[:segs[k].Offset])
+		out.Write(junk)
+		out.Write(data[segs[k].Offset : last.Offset+last.Bytes])
+		for i := k; i < len(segs); i++ {
+			segs[i].Offset += int64(len(junk))
+		}
+		sw := &segWriter{w: &out, off: int64(out.Len()), index: segs}
+		if err := sw.finish(); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes()
+	}
+	if clean := splice(nil); !bytes.Equal(clean, data) {
+		t.Fatal("rebuilding the container without a splice changed its bytes")
+	}
+	bad := splice(bytes.Repeat([]byte{0xA5}, 32))
+	if _, err := NewLazyTrace(bytes.NewReader(bad), int64(len(bad)), 0); err == nil || !strings.Contains(err.Error(), "tile") {
+		t.Fatalf("lazy open accepted unindexed bytes between segments (err %v)", err)
+	}
+	if _, err := ReadTrace(bytes.NewReader(bad)); err == nil {
+		t.Fatal("ReadTrace accepted unindexed bytes between segments")
+	}
+}
+
+// TestFailedSeekRestoresStopSink corrupts the last event segment, so a
+// seek to the end fails mid-way on a decode error. The error must name
+// the segment, and the debugger's stop sink — swapped out for the
+// duration of the seek — must be back in place afterwards, or an
+// attached debugger would never get another stop reply.
+func TestFailedSeekRestoresStopSink(t *testing.T) {
+	data := streamTrapDense(t, Options{SnapshotInterval: 20_000_000, KeyframeEvery: 3, EventBatch: 64})
+	sr, err := NewSegmentReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last SegmentInfo
+	for _, si := range sr.Segments() {
+		if si.IsEvents() {
+			last = si
+		}
+	}
+	bad := append([]byte(nil), data...)
+	for i := last.Offset + 9; i < last.Offset+last.Bytes; i++ {
+		bad[i] ^= 0xFF
+	}
+	lt := lazyOpen(t, bad, 0)
+	defer lt.Close()
+	m, v := buildTrapDense(t, false)
+	rp, err := NewReplayer(lt, m, v, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stops := 0
+	v.SetStopSink(func(cause, addr uint32) { stops++ })
+
+	_, endInstr, _, _ := lt.End()
+	err = rp.SeekInstr(endInstr)
+	want := fmt.Sprintf("replay: decoding events segment at offset %d: ", last.Offset)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("seek over a corrupt segment returned %v, want an error containing %q", err, want)
+	}
+	v.StopSink()(0, 0)
+	if stops != 1 {
+		t.Fatal("the debugger's stop sink was not restored after a failed seek")
 	}
 }

@@ -17,14 +17,13 @@ import (
 // seek to any instruction-count position, and implements the time-travel
 // operations the debug stub exposes (gdbstub.Reverser).
 //
-// The trace is accessed through the Source interface: a fully resident
-// *Trace, or a *LazyTrace that decodes event batches and snapshots on
-// demand through a byte-budgeted LRU — forward runs, checkpoint
-// restores, reverse-step, and reverse-continue all touch only the
-// segments they need, so a replay session's memory is O(LRU budget) on
-// a lazy source regardless of trace length.
+// The trace is read through a *LazyTrace, which decodes event batches
+// and snapshots on demand through a byte-budgeted LRU — forward runs,
+// checkpoint restores, reverse-step, and reverse-continue all touch only
+// the segments they need, so a replay session's memory is O(LRU budget)
+// regardless of trace length. In-memory traces open through OpenTrace.
 type Replayer struct {
-	src  Source
+	lt   *LazyTrace
 	m    *machine.Machine
 	v    *vmm.VMM
 	recv *netsim.Receiver
@@ -47,23 +46,11 @@ type Replayer struct {
 // NewReplayer attaches a replayer to a machine built with the same
 // configuration the trace was recorded on, and rewinds it to the trace's
 // initial checkpoint. v and recv may be nil if the recording had none.
-func NewReplayer(tr *Trace, m *machine.Machine, v *vmm.VMM, recv *netsim.Receiver) (*Replayer, error) {
-	if err := tr.validateChains(); err != nil {
-		return nil, err
-	}
-	return NewReplayerSource(tr.AsSource(), m, v, recv)
-}
-
-// NewReplayerSource attaches a replayer to any trace source (resident
-// or lazy). Delta-checkpoint base chains are validated as they are
-// materialized — a lazy source cannot walk every chain up front without
-// decoding every snapshot segment, which is exactly what it exists to
-// avoid.
-func NewReplayerSource(src Source, m *machine.Machine, v *vmm.VMM, recv *netsim.Receiver) (*Replayer, error) {
-	if src.NumCheckpoints() == 0 {
-		return nil, fmt.Errorf("replay: trace has no checkpoints")
-	}
-	cp0, err := src.Checkpoint(0)
+// Delta-checkpoint base chains are validated as they are materialized —
+// walking every chain up front would decode every snapshot segment,
+// which is exactly what a lazy trace exists to avoid.
+func NewReplayer(lt *LazyTrace, m *machine.Machine, v *vmm.VMM, recv *netsim.Receiver) (*Replayer, error) {
+	cp0, err := lt.Checkpoint(0)
 	if err != nil {
 		return nil, err
 	}
@@ -74,18 +61,15 @@ func NewReplayerSource(src Source, m *machine.Machine, v *vmm.VMM, recv *netsim.
 	if cp0.Delta {
 		return nil, fmt.Errorf("replay: trace's first checkpoint is a delta")
 	}
-	r := &Replayer{src: src, m: m, v: v, recv: recv}
-	r.salvaged = src.Meta().Salvaged
-	r.endCycle, r.endInstr, _, _ = src.End()
+	r := &Replayer{lt: lt, m: m, v: v, recv: recv}
+	r.salvaged = lt.Meta().Salvaged
+	r.endCycle, r.endInstr, _, _ = lt.End()
 	r.installHooks()
 	if err := r.restoreCheckpoint(0); err != nil {
 		return nil, err
 	}
 	return r, nil
 }
-
-// Source returns the trace source being replayed.
-func (r *Replayer) Source() Source { return r.src }
 
 // Err returns the first divergence (or trace read failure) detected, if
 // any.
@@ -123,7 +107,7 @@ func (r *Replayer) installHooks() {
 // timeline has been consumed; the comparison itself only runs during a
 // verifying replay (RunToEnd).
 func (r *Replayer) observe(got Event) {
-	total := r.src.NumEvents()
+	total := r.lt.NumEvents()
 	var want Event
 	for {
 		if r.verifyCursor >= total {
@@ -137,7 +121,7 @@ func (r *Replayer) observe(got Event) {
 			}
 			return
 		}
-		ev, err := r.src.Event(r.verifyCursor)
+		ev, err := r.lt.Event(r.verifyCursor)
 		if err != nil {
 			r.fail(err)
 			return
@@ -171,12 +155,12 @@ func (r *Replayer) observe(got Event) {
 // then the target delta's pages and complete non-RAM state. The chain
 // length is bounded by the recording's KeyframeEvery, so a reverse seek
 // costs at most one full restore plus KeyframeEvery-1 page-set copies.
-// On a lazy source each chain member decodes on demand (and re-faults
-// from disk if the LRU evicted it); the chain is validated here rather
-// than at open, since walking every chain up front would decode every
-// snapshot segment.
+// Each chain member decodes on demand (and re-faults from disk if the
+// LRU evicted it); the chain is validated here rather than at open,
+// since walking every chain up front would decode every snapshot
+// segment.
 func (r *Replayer) restoreCheckpoint(i int) error {
-	cp, err := r.src.Checkpoint(i)
+	cp, err := r.lt.Checkpoint(i)
 	if err != nil {
 		return err
 	}
@@ -187,39 +171,39 @@ func (r *Replayer) restoreCheckpoint(i int) error {
 		chain := []int{i}
 		cur := cp
 		for cur.Delta {
-			b := r.src.ByIndex(cur.Base)
+			b := r.lt.byIndex(cur.Base)
 			if b < 0 {
 				return fmt.Errorf("replay: checkpoint %d's base %d is missing", cur.Index, cur.Base)
 			}
-			base, err := r.src.Checkpoint(b)
+			base, err := r.lt.Checkpoint(b)
 			if err != nil {
 				return err
 			}
 			if base.Instr > cur.Instr || base == cur {
 				return fmt.Errorf("replay: checkpoint %d's base %d is not earlier on the timeline", cur.Index, cur.Base)
 			}
-			if len(chain) > r.src.NumCheckpoints() {
+			if len(chain) > r.lt.NumCheckpoints() {
 				return fmt.Errorf("replay: delta checkpoint chain does not terminate")
 			}
 			chain = append(chain, b)
 			cur = base
 		}
 		// Keyframe first, then each intermediate delta's pages; members
-		// are re-materialized one at a time so a lazy source never needs
-		// the whole chain resident at once.
-		key, err := r.src.Checkpoint(chain[len(chain)-1])
+		// are re-materialized one at a time so the LRU never needs the
+		// whole chain resident at once.
+		key, err := r.lt.Checkpoint(chain[len(chain)-1])
 		if err != nil {
 			return err
 		}
 		r.m.Restore(key.Machine)
 		for j := len(chain) - 2; j >= 1; j-- {
-			mid, err := r.src.Checkpoint(chain[j])
+			mid, err := r.lt.Checkpoint(chain[j])
 			if err != nil {
 				return err
 			}
 			r.m.ApplyRAMDelta(mid.Machine)
 		}
-		cp, err = r.src.Checkpoint(i)
+		cp, err = r.lt.Checkpoint(i)
 		if err != nil {
 			return err
 		}
@@ -247,14 +231,14 @@ func (r *Replayer) RunToEnd() error {
 
 	for {
 		// Next input to re-inject, if any remains before the end.
-		idx, err := r.src.NextInput(r.inputCursor)
+		idx, err := r.lt.NextInput(r.inputCursor)
 		if err != nil {
 			return err
 		}
 		if idx < 0 {
 			break
 		}
-		ev, err := r.src.Event(idx)
+		ev, err := r.lt.Event(idx)
 		if err != nil {
 			return err
 		}
@@ -277,14 +261,14 @@ func (r *Replayer) RunToEnd() error {
 		r.inputCursor = idx + 1
 	}
 
-	_, _, endReason, endDigest := r.src.End()
+	_, _, endReason, endDigest := r.lt.End()
 	reason := r.m.Run(r.endCycle)
 	if r.err != nil {
 		return r.err
 	}
-	total := r.src.NumEvents()
+	total := r.lt.NumEvents()
 	for r.verifyCursor < total {
-		ev, err := r.src.Event(r.verifyCursor)
+		ev, err := r.lt.Event(r.verifyCursor)
 		if err != nil {
 			return err
 		}
@@ -294,7 +278,7 @@ func (r *Replayer) RunToEnd() error {
 		r.verifyCursor++
 	}
 	if r.verifyCursor != total {
-		want, err := r.src.Event(r.verifyCursor)
+		want, err := r.lt.Event(r.verifyCursor)
 		if err != nil {
 			return err
 		}
@@ -339,14 +323,14 @@ func (r *Replayer) Position() uint64 { return r.m.CPU.Stat.Instructions }
 // re-execution. The machine is left exactly as it was at that position in
 // the recorded run.
 func (r *Replayer) SeekInstr(target uint64) error {
-	if target < r.src.StartInstr() {
-		target = r.src.StartInstr()
+	if target < r.lt.StartInstr() {
+		target = r.lt.StartInstr()
 	}
 	if target > r.endInstr {
 		return fmt.Errorf("replay: position %d is beyond the end of the trace (%d)", target, r.endInstr)
 	}
 	if target < r.Position() {
-		if err := r.restoreCheckpoint(nearestCheckpointIdx(r.src, target)); err != nil {
+		if err := r.restoreCheckpoint(r.lt.nearestCheckpoint(target)); err != nil {
 			return err
 		}
 	}
@@ -355,9 +339,10 @@ func (r *Replayer) SeekInstr(target uint64) error {
 
 // forwardTo re-executes from the current position to the target
 // instruction count. Debug-stop notifications are swallowed (re-executed
-// breakpoint traps must not spam the host debugger), but the stop sink
+// breakpoint traps must not spam the host debugger), but a stop sink
 // stays installed so guest behavior — which can depend on its presence —
-// matches the recording.
+// matches the recording. The debugger's own sink and the instruction
+// stop are restored on every exit, failed trace reads included.
 func (r *Replayer) forwardTo(target uint64) error {
 	if r.Position() > target {
 		return fmt.Errorf("replay: cannot run backwards to %d from %d", target, r.Position())
@@ -365,11 +350,10 @@ func (r *Replayer) forwardTo(target uint64) error {
 	if r.Position() == target {
 		return nil
 	}
-	var oldSink func(cause, addr uint32)
 	if r.v != nil {
-		oldSink = r.v.StopSink()
-		if oldSink != nil {
+		if oldSink := r.v.StopSink(); oldSink != nil {
 			r.v.SetStopSink(func(cause, addr uint32) {})
+			defer r.v.SetStopSink(oldSink)
 		}
 		r.v.SetFrozen(false)
 	}
@@ -378,6 +362,7 @@ func (r *Replayer) forwardTo(target uint64) error {
 		limit = c + 1
 	}
 	r.m.SetStopAtInstr(target)
+	defer r.m.SetStopAtInstr(0)
 	var reason machine.StopReason
 	for {
 		// Re-inject recorded external input that falls inside the seek
@@ -386,15 +371,13 @@ func (r *Replayer) forwardTo(target uint64) error {
 		// interactive time travel a live debugger owns that UART, and
 		// replaying the recorded conversation into it would corrupt the
 		// session, so they are skipped (cursor still advances).
-		idx, err := r.src.NextInput(r.inputCursor)
+		idx, err := r.lt.NextInput(r.inputCursor)
 		if err != nil {
-			r.m.SetStopAtInstr(0)
 			return err
 		}
 		var ev Event
 		if idx >= 0 {
-			if ev, err = r.src.Event(idx); err != nil {
-				r.m.SetStopAtInstr(0)
+			if ev, err = r.lt.Event(idx); err != nil {
 				return err
 			}
 		}
@@ -414,10 +397,6 @@ func (r *Replayer) forwardTo(target uint64) error {
 			break
 		}
 	}
-	r.m.SetStopAtInstr(0)
-	if r.v != nil && oldSink != nil {
-		r.v.SetStopSink(oldSink)
-	}
 	if reason != machine.StopInstrLimit && r.Position() < target {
 		return fmt.Errorf("replay: position %d unreachable (stopped early: %v at instr %d, cycle %d)",
 			target, reason, r.Position(), r.m.Clock())
@@ -435,11 +414,11 @@ func (r *Replayer) freeze() {
 // ReverseStep implements gdbstub.Reverser: move back n instructions.
 func (r *Replayer) ReverseStep(n uint64) error {
 	cur := r.Position()
-	target := r.src.StartInstr()
+	target := r.lt.StartInstr()
 	if cur > n && cur-n > target {
 		target = cur - n
 	}
-	if err := r.restoreCheckpoint(nearestCheckpointIdx(r.src, target)); err != nil {
+	if err := r.restoreCheckpoint(r.lt.nearestCheckpoint(target)); err != nil {
 		return err
 	}
 	if err := r.forwardTo(target); err != nil {
@@ -457,7 +436,7 @@ func (r *Replayer) ReverseStep(n uint64) error {
 func (r *Replayer) ReverseContinue(breaks []uint32, watches []gdbstub.WatchRange) (bool, error) {
 	cur := r.Position()
 	upper := cur
-	ci := nearestCheckpointIdx(r.src, cur)
+	ci := r.lt.nearestCheckpoint(cur)
 	for {
 		// Scan [checkpoint ci, upper) for crossings.
 		if err := r.restoreCheckpoint(ci); err != nil {
@@ -474,7 +453,7 @@ func (r *Replayer) ReverseContinue(breaks []uint32, watches []gdbstub.WatchRange
 		}
 		if len(hits) > 0 {
 			target := hits[len(hits)-1]
-			if err := r.restoreCheckpoint(nearestCheckpointIdx(r.src, target)); err != nil {
+			if err := r.restoreCheckpoint(r.lt.nearestCheckpoint(target)); err != nil {
 				return false, err
 			}
 			if err := r.forwardTo(target); err != nil {
@@ -491,7 +470,7 @@ func (r *Replayer) ReverseContinue(breaks []uint32, watches []gdbstub.WatchRange
 			r.freeze()
 			return false, nil
 		}
-		upper = r.src.CheckpointMeta(ci).Instr
+		upper = r.lt.CheckpointMeta(ci).Instr
 		ci--
 	}
 }
@@ -549,7 +528,7 @@ func (r *Replayer) hit(pos uint64) {
 }
 
 // Checkpoint implements gdbstub.Reverser: snapshot the current position
-// into the source's checkpoint list (kept sorted by position) so later
+// into the trace's checkpoint list (kept sorted by position) so later
 // reverse operations replay from here instead of a distant recorded
 // snapshot.
 func (r *Replayer) Checkpoint() (uint64, error) {
@@ -567,7 +546,7 @@ func (r *Replayer) Checkpoint() (uint64, error) {
 		eventIndex = r.inputCursor
 	}
 	cp := Checkpoint{
-		Index:      r.src.FreshIndex(),
+		Index:      r.lt.freshIndex(),
 		Instr:      pos,
 		Cycle:      r.m.Clock(),
 		EventIndex: eventIndex,
@@ -580,6 +559,6 @@ func (r *Replayer) Checkpoint() (uint64, error) {
 		cp.HasRecv = true
 		cp.Recv = r.recv.State()
 	}
-	r.src.InsertCheckpoint(cp)
+	r.lt.insertCheckpoint(cp)
 	return pos, nil
 }

@@ -55,7 +55,7 @@ func replaySalvaged(t *testing.T, data []byte, slow bool) (uint64, uint64) {
 		t.Fatalf("salvaged trace does not load: %v", err)
 	}
 	m, v := buildTrapDense(t, slow)
-	rp, err := NewReplayer(tr, m, v, nil)
+	rp, err := NewReplayer(openTrace(t, tr), m, v, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,10 +94,7 @@ func TestSalvageEveryBoundary(t *testing.T) {
 	}
 
 	// The clean full-trace replay digest, for prefix comparison.
-	fullTr, err := ReadTrace(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := lazyOpen(t, data, 0)
 
 	salvageable := 0
 	for _, cut := range bounds {
@@ -119,7 +116,7 @@ func TestSalvageEveryBoundary(t *testing.T) {
 			// The salvaged replay must land on the same machine state the
 			// clean recording passed through at that position.
 			m, v := buildTrapDense(t, false)
-			rp, err := NewReplayer(fullTr, m, v, nil)
+			rp, err := NewReplayer(full, m, v, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

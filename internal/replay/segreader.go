@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -24,8 +25,9 @@ type SegmentReader struct {
 }
 
 // NewSegmentReader opens a v3 trace of the given size through its seek
-// index. v2 monolithic traces have no index and are rejected; load them
-// with ReadTrace instead.
+// index. It is the only reader of complete v3 containers: lazy replay
+// sessions and ReadTrace both come through here. v2 monolithic traces
+// have no index and are rejected; load them with ReadTrace instead.
 func NewSegmentReader(r io.ReaderAt, size int64) (*SegmentReader, error) {
 	hdr := make([]byte, len(traceMagic)+2)
 	if _, err := r.ReadAt(hdr, 0); err != nil {
@@ -50,36 +52,47 @@ func NewSegmentReader(r io.ReaderAt, size int64) (*SegmentReader, error) {
 	if idxOff < int64(len(hdr)) || idxOff >= size-16 {
 		return nil, fmt.Errorf("replay: trailer points index at offset %d (file is %d bytes)", idxOff, size)
 	}
+	var ih [9]byte
+	if _, err := r.ReadAt(ih[:], idxOff); err != nil {
+		return nil, fmt.Errorf("replay: reading index segment header at offset %d: %w", idxOff, err)
+	}
+	if end := idxOff + 9 + int64(binary.LittleEndian.Uint64(ih[1:])); end != size-16 {
+		return nil, fmt.Errorf("replay: index segment ends at offset %d, trailer starts at %d", end, size-16)
+	}
 	sr := &SegmentReader{r: r, size: size}
 	var idx []SegmentInfo
 	if err := sr.decodeAt(idxOff, segIndex, &idx); err != nil {
-		return nil, fmt.Errorf("replay: decoding segment index: %w", err)
+		return nil, err
 	}
 	sr.segs = idx
 
 	sawMeta, sawEnd := false, false
 	// The writer lays segments down back to back, so a trustworthy index
-	// is strictly increasing and non-overlapping. Enforcing that here
-	// does double duty: it pins the timeline-order assumption the lazy
-	// layer builds on, and it bounds the total decode work a crafted
-	// index can demand to the file's own bytes — without it, an index
-	// could alias thousands of entries onto one high-ratio segment and
-	// turn a kilobyte file into an unbounded decompression treadmill
-	// (found by FuzzSegmentReader).
+	// tiles the file exactly: the first segment starts right after the
+	// header, each later one where the previous one ends, and the index
+	// segment where the last one ends. Enforcing that here does triple
+	// duty: it pins the timeline-order assumption the lazy layer builds
+	// on; it leaves no unindexed bytes a reader would skip unchecked; and
+	// it bounds the total decode work a crafted index can demand to the
+	// file's own bytes — without it, an index could alias thousands of
+	// entries onto one high-ratio segment and turn a kilobyte file into
+	// an unbounded decompression treadmill (found by FuzzSegmentReader).
 	prevEnd := int64(len(hdr))
 	for i := range idx {
 		si := &idx[i]
-		if si.Bytes < 9 || si.Offset < prevEnd || si.Offset+si.Bytes > size {
-			return nil, fmt.Errorf("replay: index entry %d (%s) lies outside the file or overlaps its neighbor", i, si.KindName())
+		if si.Offset != prevEnd || si.Bytes < 9 || si.Bytes > idxOff-si.Offset {
+			return nil, fmt.Errorf("replay: index entry %d (%s) at offset %d (%d bytes) does not tile the file (expected offset %d)",
+				i, si.KindName(), si.Offset, si.Bytes, prevEnd)
 		}
 		prevEnd = si.Offset + si.Bytes
 		switch si.Kind {
+		case segEvents, segKeyframe, segDelta:
 		case segMeta:
 			if sawMeta {
 				return nil, fmt.Errorf("replay: duplicate meta segment in index")
 			}
 			if err := sr.decodeAt(si.Offset, segMeta, &sr.meta); err != nil {
-				return nil, fmt.Errorf("replay: decoding trace meta: %w", err)
+				return nil, err
 			}
 			sawMeta = true
 		case segEnd:
@@ -87,10 +100,16 @@ func NewSegmentReader(r io.ReaderAt, size int64) (*SegmentReader, error) {
 				return nil, fmt.Errorf("replay: duplicate end segment in index")
 			}
 			if err := sr.decodeAt(si.Offset, segEnd, &sr.end); err != nil {
-				return nil, fmt.Errorf("replay: decoding end segment: %w", err)
+				return nil, err
 			}
 			sawEnd = true
+		default:
+			return nil, fmt.Errorf("replay: index entry %d has unknown segment kind %s", i, si.KindName())
 		}
+	}
+	if prevEnd != idxOff {
+		return nil, fmt.Errorf("replay: %d unindexed bytes between the last segment (ends at %d) and the index (at %d)",
+			idxOff-prevEnd, prevEnd, idxOff)
 	}
 	if !sawMeta {
 		return nil, fmt.Errorf("replay: trace has no meta segment")
@@ -106,23 +125,28 @@ func NewSegmentReader(r io.ReaderAt, size int64) (*SegmentReader, error) {
 
 // decodeAt reads the segment at the given offset, checks its header
 // against the expected kind, and gob-decodes the payload into out.
+// Every error names the segment kind and offset.
 func (sr *SegmentReader) decodeAt(off int64, wantKind byte, out any) error {
+	kind := segKindName(wantKind)
 	var hdr [9]byte
 	if _, err := sr.r.ReadAt(hdr[:], off); err != nil {
-		return fmt.Errorf("segment header at offset %d: %w", off, err)
+		return fmt.Errorf("replay: reading %s segment header at offset %d: %w", kind, off, err)
 	}
 	if hdr[0] != wantKind {
-		return fmt.Errorf("segment at offset %d is %s, want %s", off, segKindName(hdr[0]), segKindName(wantKind))
+		return fmt.Errorf("replay: segment at offset %d is %s, want %s", off, segKindName(hdr[0]), kind)
 	}
 	n := binary.LittleEndian.Uint64(hdr[1:])
 	if n > maxSegmentPayload || off+9+int64(n) > sr.size {
-		return fmt.Errorf("segment %s at offset %d claims %d payload bytes", segKindName(hdr[0]), off, n)
+		return fmt.Errorf("replay: %s segment at offset %d claims %d payload bytes", kind, off, n)
 	}
 	body := make([]byte, n)
 	if _, err := sr.r.ReadAt(body, off+9); err != nil {
-		return fmt.Errorf("reading %s segment at offset %d: %w", segKindName(hdr[0]), off, err)
+		return fmt.Errorf("replay: reading %s segment at offset %d: %w", kind, off, err)
 	}
-	return decodeSegment(body, out)
+	if err := decodeSegment(body, out); err != nil {
+		return fmt.Errorf("replay: decoding %s segment at offset %d: %w", kind, off, err)
+	}
+	return nil
 }
 
 // Meta returns the trace metadata (decoded at open).
@@ -171,22 +195,49 @@ func (sr *SegmentReader) DecodeCheckpoint(i int) (*Checkpoint, error) {
 	return &cp, nil
 }
 
+// load decodes every segment into a fully resident Trace (ReadTrace's
+// v3 path).
+func (sr *SegmentReader) load() (*Trace, error) {
+	t := &Trace{Meta: sr.meta, Segments: sr.segs}
+	t.EndCycle, t.EndInstr, t.EndReason, t.EndDigest = sr.End()
+	for i, si := range sr.segs {
+		switch {
+		case si.IsEvents():
+			batch, err := sr.DecodeEvents(i)
+			if err != nil {
+				return nil, err
+			}
+			t.Events = append(t.Events, batch...)
+		case si.IsSnapshot():
+			cp, err := sr.DecodeCheckpoint(i)
+			if err != nil {
+				return nil, err
+			}
+			t.Checkpoints = append(t.Checkpoints, *cp)
+		}
+	}
+	return t, nil
+}
+
 // DefaultLRUBudget is the decoded-segment cache budget a lazy replay
 // session gets when the caller does not choose one: enough to keep a
 // working set of event batches plus a few snapshots hot, far below the
 // cost of materializing a long trace.
 const DefaultLRUBudget = 64 << 20
 
-// LazyTrace is a v3 trace opened through its seek index: segment
-// metadata and checkpoint stubs stay resident, while event batches and
-// snapshot payloads are decoded on demand and cached in an LRU with a
-// configurable byte budget. It implements Source, so a Replayer driven
-// by it holds O(LRU budget) of trace data however long the recording
-// is — the replay-side counterpart of the streaming recorder's
-// O(segment) bound.
+// LazyTrace is a v3 trace opened through its seek index, and the one
+// form a Replayer reads: segment metadata and checkpoint stubs stay
+// resident, while event batches and snapshot payloads are decoded on
+// demand and cached in an LRU with a configurable byte budget. A replay
+// session therefore holds O(LRU budget) of trace data however long the
+// recording is — the replay-side counterpart of the streaming
+// recorder's O(segment) bound. Files open through OpenSourceFile;
+// in-memory traces (recordings, v2 loads) through OpenTrace.
+//
+// Event and checkpoint access can fail (disk I/O, corrupt segment).
 type LazyTrace struct {
 	sr     *SegmentReader
-	closer io.Closer // the underlying file for OpenLazyTraceFile
+	closer io.Closer // the underlying file for OpenSourceFile
 
 	// Event geometry, computed from the index alone: evSegs[k] is the
 	// segment position of the k-th event batch, evBase[k] the global
@@ -205,6 +256,17 @@ type LazyTrace struct {
 	cps []lazyCheckpoint
 
 	cache *segLRU
+}
+
+// CheckpointMeta is the always-resident description of one checkpoint:
+// everything the Replayer needs for seeking decisions without
+// materializing the snapshot itself.
+type CheckpointMeta struct {
+	Index      int    // stable checkpoint id
+	Instr      uint64 // timeline position
+	Cycle      uint64
+	EventIndex int  // events recorded before the snapshot
+	Delta      bool // delta snapshot (restore walks the base chain)
 }
 
 // lazyCheckpoint is one checkpoint stub: recorded ones point at their
@@ -267,8 +329,36 @@ func NewLazyTrace(r io.ReaderAt, size int64, budget int64) (*LazyTrace, error) {
 	return lt, nil
 }
 
-// OpenLazyTraceFile opens a v3 trace file lazily; Close releases it.
-func OpenLazyTraceFile(path string, budget int64) (*LazyTrace, error) {
+// OpenTrace opens an in-memory trace the way a file opens: it writes
+// tr with Trace.Write into memory and opens that container lazily at
+// DefaultLRUBudget. Live checkpoints a replay session adds go to the
+// returned LazyTrace, never back into tr.
+func OpenTrace(tr *Trace) (*LazyTrace, error) {
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
+		return nil, err
+	}
+	return NewLazyTrace(bytes.NewReader(buf.Bytes()), int64(buf.Len()), 0)
+}
+
+// OpenSourceFile opens a trace file for replay. A v3 container opens
+// lazily through its seek index, with resident memory bounded by the
+// LRU budget (<= 0 selects DefaultLRUBudget). A legacy v2 trace has no
+// index: it loads fully, converts to an in-memory v3 container and
+// opens that through OpenTrace, at DefaultLRUBudget. Close releases the
+// file.
+func OpenSourceFile(path string, budget int64) (*LazyTrace, error) {
+	ver, err := TraceFileVersion(path)
+	if err != nil {
+		return nil, err
+	}
+	if ver == traceVersionV2 {
+		tr, err := ReadTraceFile(path)
+		if err != nil {
+			return nil, err
+		}
+		return OpenTrace(tr)
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -287,8 +377,27 @@ func OpenLazyTraceFile(path string, budget int64) (*LazyTrace, error) {
 	return lt, nil
 }
 
+// TraceFileVersion reads the container version from a trace file's
+// header (TraceVersion, or 2 for a legacy monolithic blob) without
+// decoding anything else.
+func TraceFileVersion(path string) (int, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	hdr := make([]byte, len(traceMagic)+2)
+	if _, err := io.ReadFull(f, hdr); err != nil {
+		return 0, fmt.Errorf("replay: reading trace header: %w", err)
+	}
+	if string(hdr[:len(traceMagic)]) != traceMagic {
+		return 0, fmt.Errorf("replay: %s is not a trace file", path)
+	}
+	return int(hdr[len(traceMagic)]) | int(hdr[len(traceMagic)+1])<<8, nil
+}
+
 // Close releases the underlying file (when opened through
-// OpenLazyTraceFile) and drops the cache.
+// OpenSourceFile) and drops the cache.
 func (lt *LazyTrace) Close() error {
 	lt.cache.drop()
 	if lt.closer != nil {
@@ -312,16 +421,16 @@ func (lt *LazyTrace) MaxResidentBytes() int64 { return lt.cache.maxResident }
 // misses plus re-faults after eviction).
 func (lt *LazyTrace) Faults() int64 { return lt.cache.faults }
 
-// Meta implements Source.
+// Meta describes how to rebuild the recorded target.
 func (lt *LazyTrace) Meta() TraceMeta { return lt.sr.meta }
 
-// StartInstr implements Source.
+// StartInstr is the instruction count at the trace beginning.
 func (lt *LazyTrace) StartInstr() uint64 { return lt.cps[0].meta.Instr }
 
-// End implements Source.
+// End returns the end-of-recording seal.
 func (lt *LazyTrace) End() (uint64, uint64, int, uint64) { return lt.sr.End() }
 
-// NumEvents implements Source.
+// NumEvents is the total recorded event count.
 func (lt *LazyTrace) NumEvents() int { return lt.total }
 
 // eventSeg returns the position k (into evSegs) of the batch holding
@@ -354,7 +463,7 @@ func (lt *LazyTrace) events(k int) ([]Event, error) {
 	return batch, nil
 }
 
-// Event implements Source.
+// Event returns timeline entry i, 0 <= i < NumEvents().
 func (lt *LazyTrace) Event(i int) (Event, error) {
 	if i < 0 || i >= lt.total {
 		return Event{}, fmt.Errorf("replay: event %d out of range (%d)", i, lt.total)
@@ -367,17 +476,17 @@ func (lt *LazyTrace) Event(i int) (Event, error) {
 	return batch[i-lt.evBase[k]], nil
 }
 
-// NextInput implements Source. Batches whose input positions are
+// NextInput returns the index of the first EvInput event at or after
+// from, or -1 when none remains. Batches whose input positions are
 // already memoized are skipped without touching the disk; unknown
 // batches decode once (through the cache) to learn them.
 func (lt *LazyTrace) NextInput(from int) (int, error) {
 	if from < 0 {
 		from = 0
 	}
-	for k := lt.eventSeg(from); k < len(lt.evSegs); k++ {
-		if k < 0 {
-			k = 0
-		}
+	// eventSeg is -1 before the first batch, and so is every index of a
+	// trace with no batches at all.
+	for k := max(lt.eventSeg(from), 0); k < len(lt.evSegs); k++ {
 		if lt.inputOffs[k] == nil {
 			if _, err := lt.events(k); err != nil {
 				return -1, err
@@ -393,14 +502,16 @@ func (lt *LazyTrace) NextInput(from int) (int, error) {
 	return -1, nil
 }
 
-// NumCheckpoints implements Source.
+// NumCheckpoints is the checkpoint count (recorded + live).
 func (lt *LazyTrace) NumCheckpoints() int { return len(lt.cps) }
 
-// CheckpointMeta implements Source.
+// CheckpointMeta is the cheap always-resident view of checkpoint i
+// (slice position, sorted by Instr).
 func (lt *LazyTrace) CheckpointMeta(i int) CheckpointMeta { return lt.cps[i].meta }
 
-// Checkpoint implements Source: live checkpoints come straight from the
-// overlay, recorded ones decode through the cache.
+// Checkpoint materializes the checkpoint at slice position i: live
+// checkpoints come straight from the overlay, recorded ones decode
+// through the cache.
 func (lt *LazyTrace) Checkpoint(i int) (*Checkpoint, error) {
 	if i < 0 || i >= len(lt.cps) {
 		return nil, fmt.Errorf("replay: checkpoint position %d out of range (%d)", i, len(lt.cps))
@@ -420,8 +531,21 @@ func (lt *LazyTrace) Checkpoint(i int) (*Checkpoint, error) {
 	return cp, nil
 }
 
-// ByIndex implements Source.
-func (lt *LazyTrace) ByIndex(id int) int {
+// nearestCheckpoint returns the slice position of the latest checkpoint
+// whose instruction count is at most pos: a binary search over the
+// resident stubs, so seek planning never faults a payload in. Position
+// 0 always exists (NewLazyTrace rejects a trace without checkpoints).
+func (lt *LazyTrace) nearestCheckpoint(pos uint64) int {
+	i := sort.Search(len(lt.cps), func(i int) bool { return lt.cps[i].meta.Instr > pos })
+	if i > 0 {
+		return i - 1
+	}
+	return 0
+}
+
+// byIndex maps a stable checkpoint id to its slice position, -1 when
+// absent.
+func (lt *LazyTrace) byIndex(id int) int {
 	for i := range lt.cps {
 		if lt.cps[i].meta.Index == id {
 			return i
@@ -430,8 +554,8 @@ func (lt *LazyTrace) ByIndex(id int) int {
 	return -1
 }
 
-// FreshIndex implements Source.
-func (lt *LazyTrace) FreshIndex() int {
+// freshIndex returns an unused stable checkpoint id.
+func (lt *LazyTrace) freshIndex() int {
 	max := -1
 	for i := range lt.cps {
 		if lt.cps[i].meta.Index > max {
@@ -441,11 +565,11 @@ func (lt *LazyTrace) FreshIndex() int {
 	return max + 1
 }
 
-// InsertCheckpoint implements Source: live checkpoints live outside the
-// cache (they have no segment to re-fault from) in the stub list,
-// sorted by position.
-func (lt *LazyTrace) InsertCheckpoint(cp Checkpoint) {
-	stored := cp
+// insertCheckpoint adds a live (session-created, full) checkpoint whose
+// Index came from freshIndex. Live checkpoints live outside the cache
+// (they have no segment to re-fault from) in the stub list, sorted by
+// position.
+func (lt *LazyTrace) insertCheckpoint(cp Checkpoint) {
 	i := sort.Search(len(lt.cps), func(i int) bool {
 		return lt.cps[i].meta.Instr > cp.Instr
 	})
@@ -453,7 +577,7 @@ func (lt *LazyTrace) InsertCheckpoint(cp Checkpoint) {
 	copy(lt.cps[i+1:], lt.cps[i:])
 	lt.cps[i] = lazyCheckpoint{
 		seg:  -1,
-		live: &stored,
+		live: &cp,
 		meta: CheckpointMeta{
 			Index: cp.Index, Instr: cp.Instr, Cycle: cp.Cycle,
 			EventIndex: cp.EventIndex, Delta: cp.Delta,

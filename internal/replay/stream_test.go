@@ -3,7 +3,6 @@ package replay
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"strings"
 	"testing"
 
@@ -76,7 +75,7 @@ func TestStreamedTrapDenseCrossEngine(t *testing.T) {
 
 	for _, slow := range []bool{false, true} {
 		m2, v2 := buildTrapDense(t, slow)
-		rp, err := NewReplayer(tr, m2, v2, nil)
+		rp, err := NewReplayer(openTrace(t, tr), m2, v2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +88,7 @@ func TestStreamedTrapDenseCrossEngine(t *testing.T) {
 	// back across a delta checkpoint boundary, re-seek forward, and
 	// reverse-continue to a breakpoint crossing.
 	m3, v3 := buildTrapDense(t, false)
-	rp, err := NewReplayer(tr, m3, v3, nil)
+	rp, err := NewReplayer(openTrace(t, tr), m3, v3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,12 +258,12 @@ func TestDeltaRestoreDifferential(t *testing.T) {
 	}
 
 	mF, vF := buildTrapDense(t, false)
-	rpF, err := NewReplayer(trFull, mF, vF, nil)
+	rpF, err := NewReplayer(openTrace(t, trFull), mF, vF, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mD, vD := buildTrapDense(t, false)
-	rpD, err := NewReplayer(trDelta, mD, vD, nil)
+	rpD, err := NewReplayer(openTrace(t, trDelta), mD, vD, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,62 +378,5 @@ func TestTruncatedStreamRejected(t *testing.T) {
 		if _, err := ReadTrace(bytes.NewReader(data[:cut])); err == nil {
 			t.Fatalf("stream truncated to %d of %d bytes accepted as complete", cut, len(data))
 		}
-	}
-}
-
-// TestV2RoundTripThroughCompatLoader writes the legacy monolithic format
-// and reads it back through the compatibility path.
-func TestV2RoundTripThroughCompatLoader(t *testing.T) {
-	m, v := buildTrapDense(t, false)
-	rec := NewRecorder(m, v, nil, TraceMeta{Custom: true},
-		Options{SnapshotInterval: 40_000_000, KeyframeEvery: 1})
-	rec.Start()
-	if reason := m.Run(400_000_000); reason != machine.StopGuestDone {
-		t.Fatalf("record: stop %v", reason)
-	}
-	tr := rec.Finish()
-
-	var buf bytes.Buffer
-	if err := tr.WriteV2(&buf); err != nil {
-		t.Fatal(err)
-	}
-	tr2, err := ReadTrace(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr2.Meta.Version != 2 {
-		t.Fatalf("compat loader reports version %d, want 2", tr2.Meta.Version)
-	}
-	if tr2.EndDigest != tr.EndDigest || len(tr2.Events) != len(tr.Events) ||
-		len(tr2.Checkpoints) != len(tr.Checkpoints) {
-		t.Fatal("v2 round trip lost data")
-	}
-	m2, v2 := buildTrapDense(t, false)
-	rp, err := NewReplayer(tr2, m2, v2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rp.RunToEnd(); err != nil {
-		t.Fatalf("v2 trace replay diverged: %v", err)
-	}
-
-	// Delta checkpoints cannot be represented in v2.
-	m3, v3 := buildTrapDense(t, false)
-	rec3 := NewRecorder(m3, v3, nil, TraceMeta{Custom: true},
-		Options{SnapshotInterval: 40_000_000, KeyframeEvery: 4})
-	rec3.Start()
-	if reason := m3.Run(400_000_000); reason != machine.StopGuestDone {
-		t.Fatalf("record: stop %v", reason)
-	}
-	trDelta := rec3.Finish()
-	hasDelta := false
-	for _, cp := range trDelta.Checkpoints {
-		hasDelta = hasDelta || cp.Delta
-	}
-	if !hasDelta {
-		t.Fatal("no delta checkpoint recorded")
-	}
-	if err := trDelta.WriteV2(io.Discard); err == nil {
-		t.Fatal("WriteV2 accepted a trace with delta checkpoints")
 	}
 }

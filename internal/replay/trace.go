@@ -37,13 +37,13 @@
 package replay
 
 import (
+	"bytes"
 	"compress/gzip"
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
 	"os"
-	"sort"
 
 	"lvmm/internal/fault"
 	"lvmm/internal/guest"
@@ -167,9 +167,11 @@ type TraceMeta struct {
 
 // Trace is a complete recorded run held in memory. The streaming
 // recorder never materializes one — it writes segments straight to its
-// io.Writer — but the replay side loads traces into this form, and
-// small-scale recordings (tests, interactive sessions) may still build
-// one directly with NewRecorder.
+// io.Writer — but ReadTrace loads traces into this form (diff tooling,
+// the v2 loader, tests), and small-scale recordings (tests, interactive
+// sessions) may still build one directly with NewRecorder. A replay
+// session never reads a Trace directly: OpenTrace turns it into the
+// LazyTrace a Replayer reads.
 type Trace struct {
 	Meta        TraceMeta
 	Events      []Event
@@ -193,20 +195,6 @@ func (t *Trace) StartInstr() uint64 {
 		return 0
 	}
 	return t.Checkpoints[0].Instr
-}
-
-// nearestCheckpoint returns the slice position of the latest checkpoint
-// whose instruction count is at most pos. Checkpoints are sorted by
-// Instr and position 0 always exists for a well-formed trace; the lookup
-// is a binary search over the checkpoint index, not a scan.
-func (t *Trace) nearestCheckpoint(pos uint64) int {
-	i := sort.Search(len(t.Checkpoints), func(i int) bool {
-		return t.Checkpoints[i].Instr > pos
-	})
-	if i > 0 {
-		return i - 1
-	}
-	return 0
 }
 
 // byIndex returns the slice position of the checkpoint with the given
@@ -242,17 +230,6 @@ func (t *Trace) validateChains() error {
 		}
 	}
 	return nil
-}
-
-// nextIndex returns a fresh stable checkpoint id.
-func (t *Trace) nextIndex() int {
-	max := -1
-	for i := range t.Checkpoints {
-		if t.Checkpoints[i].Index > max {
-			max = t.Checkpoints[i].Index
-		}
-	}
-	return max + 1
 }
 
 // Write serializes the trace in the current (v3) segmented format:
@@ -314,38 +291,9 @@ func (t *Trace) Write(w io.Writer) error {
 	return sw.finish()
 }
 
-// WriteV2 serializes the trace in the legacy v2 monolithic format (one
-// gzip+gob blob). It exists for compatibility testing and for tooling
-// that must interoperate with pre-v3 readers; delta checkpoints cannot
-// be represented and are rejected.
-func (t *Trace) WriteV2(w io.Writer) error {
-	for i := range t.Checkpoints {
-		if t.Checkpoints[i].Delta {
-			return fmt.Errorf("replay: v2 format cannot hold delta checkpoints (record with KeyframeEvery 1)")
-		}
-	}
-	if _, err := io.WriteString(w, traceMagic); err != nil {
-		return err
-	}
-	if _, err := w.Write([]byte{traceVersionV2, 0}); err != nil {
-		return err
-	}
-	zw, err := gzip.NewWriterLevel(w, gzip.BestSpeed)
-	if err != nil {
-		return err
-	}
-	v2 := *t
-	v2.Meta.Version = traceVersionV2
-	v2.Segments = nil
-	if err := gob.NewEncoder(zw).Encode(&v2); err != nil {
-		zw.Close()
-		return err
-	}
-	return zw.Close()
-}
-
-// ReadTrace deserializes a trace written by Write (v3) or by the legacy
-// v2 writer.
+// ReadTrace deserializes a trace written by Write (v3) or a legacy v2
+// trace. A v3 container decodes segment by segment through
+// NewSegmentReader.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	magic := make([]byte, len(traceMagic)+2)
 	if _, err := io.ReadFull(r, magic); err != nil {
@@ -355,17 +303,23 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("replay: not a trace file")
 	}
 	ver := int(magic[len(traceMagic)]) | int(magic[len(traceMagic)+1])<<8
-	var t Trace
+	var t *Trace
 	switch ver {
 	case TraceVersion:
-		if err := readSegments(r, &t); err != nil {
+		ra, size, err := v3ReaderAt(r, magic)
+		if err != nil {
 			return nil, err
 		}
-		if t.Meta.Version != TraceVersion {
-			return nil, fmt.Errorf("replay: trace meta version %d, want %d", t.Meta.Version, TraceVersion)
+		sr, err := NewSegmentReader(ra, size)
+		if err != nil {
+			return nil, err
+		}
+		if t, err = sr.load(); err != nil {
+			return nil, err
 		}
 	case traceVersionV2:
-		if err := readTraceV2(r, &t); err != nil {
+		t = new(Trace)
+		if err := readTraceV2(r, t); err != nil {
 			return nil, err
 		}
 	default:
@@ -378,7 +332,24 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	if err := t.validateChains(); err != nil {
 		return nil, err
 	}
-	return &t, nil
+	return t, nil
+}
+
+// v3ReaderAt gives random access to the v3 container r is positioned
+// in, just past its header hdr: a regular file serves as its own
+// io.ReaderAt (read from its start), any other reader is read fully
+// into memory first.
+func v3ReaderAt(r io.Reader, hdr []byte) (io.ReaderAt, int64, error) {
+	if f, ok := r.(*os.File); ok {
+		if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
+			return f, fi.Size(), nil
+		}
+	}
+	data, err := io.ReadAll(io.MultiReader(bytes.NewReader(hdr), r))
+	if err != nil {
+		return nil, 0, fmt.Errorf("replay: reading trace: %w", err)
+	}
+	return bytes.NewReader(data), int64(len(data)), nil
 }
 
 // readTraceV2 is the compatibility loader for the monolithic format.

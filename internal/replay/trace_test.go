@@ -6,12 +6,14 @@ import (
 	"testing"
 )
 
+// TestNearestCheckpoint pins the seek planner's lookup over the lazy
+// index's checkpoint stubs at every boundary.
 func TestNearestCheckpoint(t *testing.T) {
-	tr := &Trace{Checkpoints: []Checkpoint{
+	lt := openTrace(t, &Trace{Checkpoints: []Checkpoint{
 		{Index: 0, Instr: 0},
 		{Index: 1, Instr: 100},
 		{Index: 2, Instr: 250},
-	}}
+	}})
 	cases := []struct {
 		pos  uint64
 		want int
@@ -19,12 +21,17 @@ func TestNearestCheckpoint(t *testing.T) {
 		{0, 0}, {50, 0}, {100, 1}, {249, 1}, {250, 2}, {1 << 40, 2},
 	}
 	for _, c := range cases {
-		if got := tr.nearestCheckpoint(c.pos); got != c.want {
+		if got := lt.nearestCheckpoint(c.pos); got != c.want {
 			t.Errorf("nearestCheckpoint(%d) = %d, want %d", c.pos, got, c.want)
 		}
 	}
-	if tr.StartInstr() != 0 {
-		t.Errorf("StartInstr = %d", tr.StartInstr())
+	if lt.StartInstr() != 0 {
+		t.Errorf("StartInstr = %d", lt.StartInstr())
+	}
+	// The trace has no event batches at all: the input scan must say so,
+	// not index past the empty batch table.
+	if idx, err := lt.NextInput(0); idx != -1 || err != nil {
+		t.Errorf("NextInput on an event-free trace = %d, %v", idx, err)
 	}
 }
 

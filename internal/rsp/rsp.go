@@ -21,6 +21,17 @@ const (
 	InterruptByte = 0x03
 )
 
+// MaxMemXfer is the largest memory transfer, in bytes, one m/M packet
+// or qXfer chunk may request; the stub refuses longer ones.
+const MaxMemXfer = 0x10000
+
+// MaxPayload bounds a packet body: the hex-encoded largest memory
+// transfer plus room for a command header ("M<addr>,<len>:"). Nothing
+// either end legitimately sends is longer, so the Decoder drops a
+// packet that grows past it instead of buffering a peer's unterminated
+// packet without limit.
+const MaxPayload = 2*MaxMemXfer + 64
+
 // Checksum computes the RSP modulo-256 checksum of a payload.
 func Checksum(payload []byte) byte {
 	var s byte
@@ -54,6 +65,7 @@ type Event struct {
 type Decoder struct {
 	buf     []byte
 	inPkt   bool
+	skip    bool // dropping an oversize packet until the next '$'
 	csDigit int
 	cs      [2]byte
 }
@@ -61,15 +73,18 @@ type Decoder struct {
 // Feed consumes bytes and returns the events they complete. Packets with
 // bad checksums are dropped (an implementation would NAK; over our
 // reliable channels this cannot happen except from corruption, which the
-// stability experiments exercise deliberately).
+// stability experiments exercise deliberately). A packet whose body
+// grows past MaxPayload is dropped unacknowledged, and every byte up to
+// the next '$' with it.
 func (d *Decoder) Feed(data []byte) []Event {
 	var evs []Event
 	for _, b := range data {
 		switch {
+		case d.skip && b != PacketStart:
 		case !d.inPkt:
 			switch b {
 			case PacketStart:
-				d.inPkt = true
+				d.inPkt, d.skip = true, false
 				d.buf = d.buf[:0]
 				d.csDigit = 0
 			case Ack:
@@ -92,6 +107,8 @@ func (d *Decoder) Feed(data []byte) []Event {
 			}
 		case b == PacketEnd:
 			d.csDigit = 1
+		case len(d.buf) == MaxPayload:
+			d.inPkt, d.skip = false, true
 		default:
 			d.buf = append(d.buf, b)
 		}

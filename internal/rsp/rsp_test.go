@@ -116,3 +116,78 @@ func TestWord32Property(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDecoderDropsOversizePacket feeds a packet one byte longer than
+// MaxPayload (never terminated in time, as a hostile peer would send)
+// followed by a valid packet: the decoder must drop the first without
+// buffering it past the bound, and yield exactly the second.
+func TestDecoderDropsOversizePacket(t *testing.T) {
+	var d Decoder
+	huge := Encode(bytes.Repeat([]byte{'a'}, MaxPayload+1))
+	// Acks, nak and interrupt bytes inside the dropped packet's tail are
+	// payload noise, not events.
+	huge = append(huge[:len(huge)-3], '+', '-', InterruptByte, '#', '0', '0')
+	evs := d.Feed(huge)
+	evs = append(evs, d.Feed(Encode([]byte("g")))...)
+	if len(evs) != 1 || evs[0].Kind != 'p' || string(evs[0].Payload) != "g" {
+		t.Fatalf("events %v, want exactly the valid packet", evs)
+	}
+	if cap(d.buf) > 2*MaxPayload {
+		t.Fatalf("decoder buffered %d bytes for an oversize packet", cap(d.buf))
+	}
+	// A packet of exactly MaxPayload bytes is legitimate and decodes.
+	max := bytes.Repeat([]byte{'b'}, MaxPayload)
+	if evs := d.Feed(Encode(max)); len(evs) != 1 || !bytes.Equal(evs[0].Payload, max) {
+		t.Fatal("a MaxPayload-sized packet was not decoded")
+	}
+}
+
+// FuzzDecoder: any byte stream, fed in three pieces, never panics, and
+// every packet the decoder emits is within MaxPayload and carries the
+// checksum that framed it. The middle piece is pad bytes of filler, so
+// the fuzzer reaches the oversize path without a 128 KiB corpus entry.
+func FuzzDecoder(f *testing.F) {
+	f.Add(Encode([]byte("m1000,40")), uint16(3), uint32(0))
+	f.Add([]byte("$g#00+-\x03$qSupported#37"), uint16(0), uint32(0))
+	f.Add([]byte("$#00$c#63"), uint16(1), uint32(MaxPayload))
+	f.Add([]byte("$#00$c#63"), uint16(1), uint32(MaxPayload+1))
+	f.Fuzz(func(t *testing.T, data []byte, split uint16, pad uint32) {
+		cut := int(split) % (len(data) + 1)
+		filler := bytes.Repeat([]byte{'a'}, int(pad%(MaxPayload+64)))
+		stream := append(append(append([]byte{}, data[:cut]...), filler...), data[cut:]...)
+		var d Decoder
+		evs := d.Feed(data[:cut])
+		evs = append(evs, d.Feed(filler)...)
+		evs = append(evs, d.Feed(data[cut:])...)
+		for _, ev := range evs {
+			if ev.Kind != 'p' {
+				continue
+			}
+			if len(ev.Payload) > MaxPayload {
+				t.Fatalf("emitted a %d-byte payload, bound is %d", len(ev.Payload), MaxPayload)
+			}
+			if !checksumFramed(stream, ev.Payload) {
+				t.Fatalf("emitted payload %q is not followed anywhere in the stream by its checksum", ev.Payload)
+			}
+		}
+	})
+}
+
+// checksumFramed reports whether payload occurs in data followed by '#'
+// and two hex digits (either case) that are its checksum.
+func checksumFramed(data, payload []byte) bool {
+	want := Checksum(payload)
+	for off := 0; ; off++ {
+		i := bytes.Index(data[off:], append(append([]byte{}, payload...), PacketEnd))
+		if i < 0 {
+			return false
+		}
+		off += i
+		end := off + len(payload) + 1
+		if end+2 <= len(data) {
+			if cs, err := parseHexByte(data[end], data[end+1]); err == nil && cs == want {
+				return true
+			}
+		}
+	}
+}

@@ -340,27 +340,32 @@ type ReplayTarget struct {
 	rp *replay.Replayer
 }
 
-// Replay rebuilds the recorded target from a trace and rewinds it to the
-// trace's initial checkpoint.
+// Replay rebuilds the recorded target from an in-memory trace (see
+// replay.OpenTrace) and rewinds it to the trace's initial checkpoint.
+// Checkpoints the session takes stay in the session; tr is not changed.
 func Replay(tr *replay.Trace) (*ReplayTarget, error) {
-	return ReplaySource(tr.AsSource())
+	lt, err := replay.OpenTrace(tr)
+	if err != nil {
+		return nil, err
+	}
+	return ReplaySource(lt)
 }
 
-// ReplaySource rebuilds the recorded target from any trace source —
-// a fully resident *Trace or a lazily opened *LazyTrace (see
-// replay.OpenSourceFile) — and rewinds it to the trace's initial
-// checkpoint. On a lazy source the replay session's resident trace data
-// stays bounded by the LRU budget however long the recording is.
-func ReplaySource(src replay.Source) (*ReplayTarget, error) {
-	meta := src.Meta()
+// ReplaySource rebuilds the recorded target from a lazily opened trace
+// (see replay.OpenSourceFile) and rewinds it to the trace's initial
+// checkpoint. The replay session's resident trace data stays bounded by
+// the LRU budget however long the recording is. The caller closes lt
+// when the session ends.
+func ReplaySource(lt *replay.LazyTrace) (*ReplayTarget, error) {
+	meta := lt.Meta()
 	if meta.Custom {
-		return nil, fmt.Errorf("lvmm: trace records a custom machine; rebuild it and use replay.NewReplayerSource directly")
+		return nil, fmt.Errorf("lvmm: trace records a custom machine; rebuild it and use replay.NewReplayer directly")
 	}
 	t, err := newStreamingTarget(Platform(meta.Platform), meta.Params, meta.Seed, meta.Fault)
 	if err != nil {
 		return nil, err
 	}
-	rp, err := replay.NewReplayerSource(src, t.m, t.mon, t.recv)
+	rp, err := replay.NewReplayer(lt, t.m, t.mon, t.recv)
 	if err != nil {
 		return nil, err
 	}

@@ -128,13 +128,13 @@ func TestFaultPlanRecordsAndReplaysBitIdentically(t *testing.T) {
 				r.TracePath, faultEvents, r.FaultsInjected)
 		}
 
-		src, err := replay.OpenSourceFile(r.TracePath, 0)
+		lt, err := replay.OpenSourceFile(r.TracePath, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt, err := ReplaySource(src)
+		rt, err := ReplaySource(lt)
 		if err != nil {
-			replay.CloseSource(src)
+			lt.Close()
 			t.Fatal(err)
 		}
 		if err := rt.Replayer().RunToEnd(); err != nil {
@@ -149,7 +149,7 @@ func TestFaultPlanRecordsAndReplaysBitIdentically(t *testing.T) {
 		if got := rt.Machine().FaultsInjected(); got != r.FaultsInjected {
 			t.Errorf("replay %d re-injected %d faults, recorded run injected %d", i, got, r.FaultsInjected)
 		}
-		replay.CloseSource(src)
+		lt.Close()
 	}
 }
 
